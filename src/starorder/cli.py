@@ -68,6 +68,8 @@ def _load_ring(source: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError("spec-json", str(exc))
+    except RecursionError:
+        raise _InputError("spec-json", "JSON nests too deeply to parse")
     return realize(spec_from_json(obj), _resolve_cap())
 
 

@@ -15,6 +15,7 @@ from .rings import (
     ProductSpec,
     RingSpec,
     TableSpec,
+    _mixed_radix_weights,
     build_modular,
     build_product,
     realize,
@@ -154,9 +155,7 @@ def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
     ]
     if swaps and rng.random() < 0.5:
         i, j = rng.choice(swaps)
-        weights = [1] * len(factors)
-        for t in range(len(factors) - 2, -1, -1):
-            weights[t] = weights[t + 1] * factors[t + 1]
+        weights = _mixed_radix_weights(factors)
         perm = np.zeros(n, dtype=np.int64)
         for x in range(n):
             digits = [(x // weights[t]) % factors[t] for t in range(len(factors))]

@@ -104,17 +104,65 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in hits[0])
 
 
+def _additive_generators(add: np.ndarray) -> list[int] | None:
+    """A greedy generating set G of the magma ``(elements, add)`` over 0.
+
+    Starting from R = {0}, the smallest element outside R joins G and R is
+    closed under sums, until R holds every element. An abelian group of
+    order n needs at most log2(n) generators this way, since each one at
+    least doubles R; past ``n.bit_length()`` the table is no group and None
+    is returned. Closure only sums pairs that involve a newly reached
+    element, so building G costs O(n^2) in all.
+    """
+    n = add.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        if len(gens) == n.bit_length():
+            return None
+        g = int(np.argmin(reached))
+        gens.append(g)
+        reached[g] = True
+        new = np.array([g])
+        while new.size:
+            r = np.flatnonzero(reached)
+            hit = np.zeros(n, dtype=bool)
+            hit[add[new[:, None], r]] = True
+            hit[add[r[:, None], new]] = True
+            new = np.flatnonzero(hit & ~reached)
+            reached[new] = True
+    return gens
+
+
 def validate_tables(
     add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Check every ring/involution axiom over all element tuples.
 
     Returns one ``(axiom, witness)`` pair per violated axiom, with the
-    lexicographically first witness. Triple axioms cost O(order^3).
+    lexicographically first witness. The four triple axioms are proved on
+    an additive generating set G (``_additive_generators``, |G| <= log2 n),
+    so an accepted table costs O(|G|·n^2):
+
+    - add-associative (Light's test): the elements ``a`` with
+      ``(x+a)+y = x+(a+y)`` for all x, y are closed under +, so testing
+      the generators (and 0, unless it is neutral) covers every element.
+    - left-/right-distributive, given the additive group: the ``z`` with
+      ``x(y+z) = xy+xz`` (resp. ``(y+z)x = yx+zx``) for all x, y are
+      closed under +, so testing z in G suffices.
+    - mul-associative, given both distributive laws: the associator
+      ``(xy)z - x(yz)`` is additive in each argument, so it vanishes
+      everywhere once it vanishes on G^3.
+
+    An axiom whose test fails, or whose precondition does not hold, falls
+    back to the exhaustive O(n^3) scan for that axiom alone, which finds
+    the witness.
     """
     n = add.shape[0]
     idx = np.arange(n)
     bad: list[tuple[str, tuple[int, ...]]] = []
+    gens = _additive_generators(add)
 
     def first_triple(fail):
         # fail(x) is an (n, n) mismatch mask over (y, z); scan x ascending.
@@ -125,19 +173,51 @@ def validate_tables(
                 return (x, int(y), int(z))
         return None
 
+    def proved_or_scanned(gs, fail_at, fail):
+        # fail_at(g) is the mismatch mask of the axiom's test at generator g.
+        # If no g in gs fails, the axiom holds; otherwise (or with no gs)
+        # the exhaustive scan finds the first witness.
+        if gs is not None and not any(fail_at(g).any() for g in gs):
+            return None
+        return first_triple(fail)
+
     w = _first(add[0] != idx)
     if w:
         bad.append(("add-identity", w))
     w = _first(add != add.T)
     if w:
         bad.append(("add-commutative", w))
-    w = first_triple(lambda x: add[add[x]] != add[x][add])
+    # Light's test needs 0 among the tested elements unless it is neutral.
+    light = [0] + gens if bad and gens is not None else gens
+    w = proved_or_scanned(
+        light,
+        lambda g: add[:, add[g]] != add[add[:, g]],
+        lambda x: add[add[x]] != add[x][add],
+    )
     if w:
         bad.append(("add-associative", w))
     w = _first(~(add == 0).any(axis=1))
     if w:
         bad.append(("add-inverse", w))
-    w = first_triple(lambda x: mul[mul[x]] != mul[x][mul])
+    # G, once + is an abelian group; then the row add[g] is also the column.
+    group_gens = None if bad else gens
+    left = proved_or_scanned(
+        group_gens,
+        lambda g: np.take(mul, add[g], axis=1) != add[mul, mul[:, g][:, None]],
+        lambda x: mul[x][add] != add[mul[x][:, None], mul[x][None, :]],
+    )
+    right = proved_or_scanned(
+        group_gens,
+        lambda g: mul[add[g]] != add[mul, mul[g]],
+        lambda x: mul[add, x] != add[mul[:, x][:, None], mul[:, x][None, :]],
+    )
+    ring_gens = None if left or right else group_gens
+    gv = np.array(ring_gens or [], dtype=np.intp)
+    w = proved_or_scanned(
+        ring_gens,
+        lambda g: mul[mul[g, gv][:, None], gv] != mul[g, mul[gv[:, None], gv]],
+        lambda x: mul[mul[x]] != mul[x][mul],
+    )
     if w:
         bad.append(("mul-associative", w))
     w = _first(mul[one] != idx)
@@ -146,16 +226,10 @@ def validate_tables(
     w = _first(mul[:, one] != idx)
     if w:
         bad.append(("right-unit", w))
-    w = first_triple(
-        lambda x: mul[x][add] != add[mul[x][:, None], mul[x][None, :]]
-    )
-    if w:
-        bad.append(("left-distributive", w))
-    w = first_triple(
-        lambda x: mul[add, x] != add[mul[:, x][:, None], mul[:, x][None, :]]
-    )
-    if w:
-        bad.append(("right-distributive", w))
+    if left:
+        bad.append(("left-distributive", left))
+    if right:
+        bad.append(("right-distributive", right))
     w = _first(star[add] != add[star[:, None], star[None, :]])
     if w:
         bad.append(("star-additive", w))
@@ -367,10 +441,25 @@ def _int_field(obj: dict, key: str) -> int:
     return v
 
 
-def spec_from_json(obj) -> RingSpec:
-    """Parse the RingSpec JSON schema into a spec tree."""
+SPEC_MAX_DEPTH = 64
+
+
+def _int_entries(row, key: str) -> tuple[int, ...]:
+    # type() is exact, so bools, floats and strings are all refused.
+    if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+        raise RingSpecError(f"table spec field {key!r} entries must be integers")
+    return tuple(row)
+
+
+def spec_from_json(obj, _depth: int = 0) -> RingSpec:
+    """Parse the RingSpec JSON schema into a spec tree.
+
+    Specs may nest at most ``SPEC_MAX_DEPTH`` levels deep.
+    """
     if not isinstance(obj, dict):
         raise RingSpecError("ring spec must be a JSON object")
+    if _depth >= SPEC_MAX_DEPTH:
+        raise RingSpecError(f"ring spec nests deeper than {SPEC_MAX_DEPTH} levels")
     kind = obj.get("type")
     if kind == "modular":
         return ModularSpec(_int_field(obj, "n"))
@@ -378,23 +467,20 @@ def spec_from_json(obj) -> RingSpec:
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
             raise RingSpecError("product spec needs a nonempty 'parts' list")
-        return ProductSpec(tuple(spec_from_json(p) for p in parts))
+        return ProductSpec(tuple(spec_from_json(p, _depth + 1) for p in parts))
     if kind == "matrix":
         base = obj.get("base")
         if base is None:
             raise RingSpecError("matrix spec needs a 'base' ring spec")
-        return MatrixSpec(spec_from_json(base), _int_field(obj, "k"))
+        return MatrixSpec(spec_from_json(base, _depth + 1), _int_field(obj, "k"))
     if kind == "table":
         n = _int_field(obj, "order")
         for key in ("add", "mul", "star"):
             if not isinstance(obj.get(key), list):
                 raise RingSpecError(f"table spec field {key!r} must be a list")
-        try:
-            add = tuple(tuple(int(v) for v in row) for row in obj["add"])
-            mul = tuple(tuple(int(v) for v in row) for row in obj["mul"])
-            star = tuple(int(v) for v in obj["star"])
-        except (TypeError, ValueError) as exc:
-            raise RingSpecError(f"table spec entries must be integers: {exc}")
+        add = tuple(_int_entries(row, "add") for row in obj["add"])
+        mul = tuple(_int_entries(row, "mul") for row in obj["mul"])
+        star = _int_entries(obj["star"], "star")
         return TableSpec(
             n, add, mul, star, _int_field(obj, "zero"), _int_field(obj, "one")
         )

@@ -6,6 +6,8 @@ numpy and no package internals, so a disagreement points at a real bug.
 
 from __future__ import annotations
 
+from itertools import product
+
 
 def zn_tables(n: int):
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -84,6 +86,56 @@ def ring_tables(ring):
     mul = [[int(v) for v in row] for row in ring.multiplication]
     star = [int(v) for v in ring.involution]
     return add, mul, star, ring.one
+
+
+def oracle_violations(t):
+    """``(axiom, witness)`` for each failed ring/involution axiom, in the
+    package's order, with the lexicographically first witness. Distributive
+    witnesses are (multiplier, y, z); ``star-multiplicative`` is (x, y) with
+    (xy)* != y*x*."""
+    add, mul, star, one = t
+    elems = range(len(add))
+    axioms = (
+        ("add-identity", 1, lambda x: add[0][x] == x),
+        ("add-commutative", 2, lambda x, y: add[x][y] == add[y][x]),
+        (
+            "add-associative",
+            3,
+            lambda x, y, z: add[add[x][y]][z] == add[x][add[y][z]],
+        ),
+        ("add-inverse", 1, lambda x: any(add[x][y] == 0 for y in elems)),
+        (
+            "mul-associative",
+            3,
+            lambda x, y, z: mul[mul[x][y]][z] == mul[x][mul[y][z]],
+        ),
+        ("left-unit", 1, lambda x: mul[one][x] == x),
+        ("right-unit", 1, lambda x: mul[x][one] == x),
+        (
+            "left-distributive",
+            3,
+            lambda x, y, z: mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]],
+        ),
+        (
+            "right-distributive",
+            3,
+            lambda x, y, z: mul[add[y][z]][x] == add[mul[y][x]][mul[z][x]],
+        ),
+        ("star-additive", 2, lambda x, y: star[add[x][y]] == add[star[x]][star[y]]),
+        (
+            "star-multiplicative",
+            2,
+            lambda x, y: star[mul[x][y]] == mul[star[y]][star[x]],
+        ),
+        ("star-involutive", 1, lambda x: star[star[x]] == x),
+    )
+    bad = []
+    for name, arity, holds in axioms:
+        for w in product(elems, repeat=arity):
+            if not holds(*w):
+                bad.append((name, w))
+                break
+    return bad
 
 
 def oracle_idempotents(t):

@@ -54,6 +54,50 @@ class TestClassify:
         assert code == 2
         assert json.loads(err)["error"] == "invalid-tables"
 
+    @pytest.mark.parametrize(
+        "field, value", [("mul", 1.9), ("star", "1"), ("add", True), ("mul", None)]
+    )
+    def test_non_integer_table_entry_exits_2(self, capsys, field, value):
+        spec = {
+            "type": "table",
+            "order": 2,
+            "add": [[0, 1], [1, 0]],
+            "mul": [[0, 0], [0, 1]],
+            "star": [0, 1],
+            "zero": 0,
+            "one": 1,
+        }
+        if field == "star":
+            spec["star"][1] = value
+        else:
+            spec[field][1][1] = value
+        code, out, err = run(capsys, "classify", json.dumps(spec))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ring-spec",
+            "detail": f"table spec field {field!r} entries must be integers",
+        }
+
+    @staticmethod
+    def _nested(levels: int) -> str:
+        # Built as text: json.dumps itself recurses too deeply at 1200 levels.
+        head = '{"type":"product","parts":[' * (levels - 1)
+        return head + '{"type":"modular","n":2}' + "]}" * (levels - 1)
+
+    def test_spec_depth_bound(self, capsys):
+        code, out, _ = run(capsys, "classify", self._nested(64))
+        assert code == 0
+        assert json.loads(out)["order"] == 2
+        code, out, err = run(capsys, "classify", self._nested(65))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ring-spec"
+
+    def test_json_too_deep_to_parse_exits_2(self, capsys):
+        code, out, err = run(capsys, "classify", self._nested(1200))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "spec-json"
+
     def test_spec_from_file(self, capsys, tmp_path):
         path = tmp_path / "ring.json"
         path.write_text(Z6)

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import starorder as so
-from helpers import mat2_index, ring_tables, zn_tables
+from helpers import (
+    mat2_index,
+    mat2_tables,
+    oracle_violations,
+    product_tables,
+    ring_tables,
+    zn_tables,
+)
+from starorder.rings import validate_tables
 
 
 class TestModular:
@@ -195,6 +203,117 @@ def test_product_validates_and_indexes_zero(self_orders):
     r = so.build_product([so.build_modular(n) for n in self_orders])
     assert r.name_of(0) == "(" + ",".join("0" for _ in self_orders) + ")"
     assert r.add(0, 0) == 0
+
+
+# Valid *-rings up to order 12, plus M2(Z2) as a noncommutative one.
+_VALID_TABLES = (
+    [zn_tables(n) for n in range(1, 13)]
+    + [
+        product_tables(zn_tables(a), zn_tables(b))
+        for a, b in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 6), (3, 4))
+    ]
+    + [product_tables(zn_tables(2), product_tables(zn_tables(2), zn_tables(2)))]
+    + [mat2_tables(2)]
+)
+
+
+@st.composite
+def _corrupted_tables(draw):
+    """A valid table relabelled by a permutation fixing 0, then 0-3 changed
+    add/mul/star entries and sometimes a wrong unit."""
+    add, mul, star, one = draw(st.sampled_from(_VALID_TABLES))
+    n = len(add)
+    p = [0, *draw(st.permutations(range(1, n)))]
+    add2 = [[0] * n for _ in range(n)]
+    mul2 = [[0] * n for _ in range(n)]
+    star2 = [0] * n
+    for x in range(n):
+        star2[p[x]] = p[star[x]]
+        for y in range(n):
+            add2[p[x]][p[y]] = p[add[x][y]]
+            mul2[p[x]][p[y]] = p[mul[x][y]]
+    elem = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        which, i, j, v = draw(st.tuples(st.sampled_from("ams"), elem, elem, elem))
+        if which == "s":
+            star2[i] = v
+        else:
+            (add2 if which == "a" else mul2)[i][j] = v
+    one2 = draw(elem) if draw(st.integers(0, 4)) == 0 else p[one]
+    return add2, mul2, star2, one2
+
+
+@st.composite
+def _bilinear_tables(draw):
+    """(Z_p)^k with random bilinear structure constants: distributive, but
+    mostly neither associative nor unital."""
+    p, k = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))))
+    n = p**k
+    digits = [[(x // p ** (k - 1 - i)) % p for i in range(k)] for x in range(n)]
+    enc = lambda d: sum(v * p ** (k - 1 - i) for i, v in enumerate(d))
+    c = draw(st.lists(st.integers(0, p - 1), min_size=k**3, max_size=k**3))
+
+    def times(u, v):
+        return [
+            sum(u[i] * v[j] * c[(i * k + j) * k + l] for i in range(k) for j in range(k))
+            % p
+            for l in range(k)
+        ]
+
+    add = [
+        [enc([(a + b) % p for a, b in zip(digits[x], digits[y])]) for y in range(n)]
+        for x in range(n)
+    ]
+    mul = [[enc(times(digits[x], digits[y])) for y in range(n)] for x in range(n)]
+    star = draw(st.permutations(range(n)))
+    return add, mul, star, draw(st.integers(0, n - 1))
+
+
+@st.composite
+def _magma_tables(draw):
+    """Addition that is no group: random, a semilattice (max) or a left- or
+    right-zero semigroup (associative, but past order 4 every element is a
+    generator), or a group shifted by a constant c (x+y+c: associative, with
+    a neutral element other than 0). Sometimes 0 is made a left identity."""
+    n = draw(st.integers(1, 12))
+    elem = st.integers(0, n - 1)
+    square = st.lists(st.lists(elem, min_size=n, max_size=n), min_size=n, max_size=n)
+    c = draw(elem)
+    add = draw(
+        st.sampled_from(
+            [
+                draw(square),
+                [[max(x, y) for y in range(n)] for x in range(n)],
+                [[x for y in range(n)] for x in range(n)],
+                [[y for y in range(n)] for x in range(n)],
+                [[(x + y + c) % n for y in range(n)] for x in range(n)],
+            ]
+        )
+    )
+    if draw(st.booleans()):
+        add[0] = list(range(n))
+    star = draw(st.lists(elem, min_size=n, max_size=n))
+    return add, draw(square), star, draw(elem)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_corrupted_tables(), _bilinear_tables(), _magma_tables()))
+# Associative at the generator 1 but not at 0, which is not neutral.
+@example(([[0, 0, 0], [1, 1, 1], [2, 1, 1]], [[0] * 3] * 3, [0, 1, 2], 0))
+# Saturating addition min(x+y, 3) is no group: distributive at the generator
+# 1, but 1·(0+0) = 1 != 1·0 + 1·0 = 2.
+@example(
+    (
+        [[min(x + y, 3) for y in range(4)] for x in range(4)],
+        [[0] * 4, [1, 3, 3, 3], [0] * 4, [0] * 4],
+        [0, 1, 2, 3],
+        0,
+    )
+)
+def test_validate_tables_matches_exhaustive_oracle(t):
+    add, mul, star, one = t
+    got = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+    assert got == oracle_violations(t)
 
 
 def _t(rows):
