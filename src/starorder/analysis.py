@@ -126,32 +126,22 @@ class AnnihilatorResult:
     principal_projection: int | None
 
 
-def _proj_right_ideal_masks(ring: StarRing):
+def _proj_ideal_masks(ring: StarRing, kind: str):
+    """Projections e with the masks of eR (``kind`` "right") or Re ("left")."""
+
     def build():
         projs = np.flatnonzero(projection_mask(ring))
+        M = ring.multiplication
+        ideals = M[projs] if kind == "right" else M[:, projs].T
         masks = np.zeros((projs.size, ring.order), dtype=bool)
-        for i, e in enumerate(projs):
-            masks[i, ring.multiplication[e]] = True
+        masks[np.arange(projs.size)[:, None], ideals] = True
         return projs, _frozen(masks)
 
-    return ring.memo("proj_right_ideal_masks", build)
-
-
-def _proj_left_ideal_masks(ring: StarRing):
-    def build():
-        projs = np.flatnonzero(projection_mask(ring))
-        masks = np.zeros((projs.size, ring.order), dtype=bool)
-        for i, e in enumerate(projs):
-            masks[i, ring.multiplication[:, e]] = True
-        return projs, _frozen(masks)
-
-    return ring.memo("proj_left_ideal_masks", build)
+    return ring.memo(f"proj_{kind}_ideal_masks", build)
 
 
 def _match_projection(ring: StarRing, mask: np.ndarray, kind: str) -> int | None:
-    projs, ideals = (
-        _proj_right_ideal_masks(ring) if kind == "right" else _proj_left_ideal_masks(ring)
-    )
+    projs, ideals = _proj_ideal_masks(ring, kind)
     hits = np.flatnonzero((ideals == mask).all(axis=1))
     return int(projs[hits[0]]) if hits.size else None
 

@@ -16,6 +16,7 @@ from .errors import (
     PreconditionError,
     RingSpecError,
     TableValidationError,
+    VerificationError,
 )
 from .fuzz import FAMILIES, FuzzConfig, fuzz, structural_specs
 from .order import build_order, hasse_dot, initial_segment
@@ -257,6 +258,11 @@ def main(argv: list[str] | None = None) -> int:
         }.get(type(exc), "ring-spec")
         print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
         return 2
+    except (VerificationError, MemoryError) as exc:
+        # An internal fault, not a failed check: exit 3, not 1.
+        detail = str(exc) or type(exc).__name__
+        print(json.dumps({"error": "internal", "detail": detail}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
-"""The Conrad relation: diagnostics, meets/joins, orthogonality, segments."""
+"""The Conrad relation: diagnostics, meets/joins, orthogonality, segments.
+
+`pair_tables` is the one source of meets and joins: `meet`, `join` and
+the glb/lub of each initial segment read it, and `_least_upper` is the one
+scanner for pairs it cannot answer.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,49 +54,49 @@ def leq_cover(ring: StarRing, a: int, b: int) -> bool:
     return int(ring.multiplication[c, b]) == a
 
 
-def leq_matrix(ring: StarRing) -> np.ndarray:
+def _conrad_matrix(ring: StarRing, key: str, rows) -> np.ndarray:
+    """out[a, b] iff x·r·b = x·r·a for every r, where x = rows[a]."""
+
     def build():
         M = ring.multiplication
         n = ring.order
         out = np.empty((n, n), dtype=bool)
-        for a in range(n):
-            t = M[M[a]]  # t[r, b] = (a·r)·b
+        for a, x in enumerate(rows):
+            t = M[M[x]]  # t[r, b] = (x·r)·b
             out[a] = (t == t[:, a][:, None]).all(axis=0)
         return _frozen(out)
 
-    return ring.memo("leq_matrix", build)
+    return ring.memo(key, build)
+
+
+def leq_matrix(ring: StarRing) -> np.ndarray:
+    return _conrad_matrix(ring, "leq_matrix", range(ring.order))
 
 
 def star_leq_matrix(ring: StarRing) -> np.ndarray:
-    def build():
-        M = ring.multiplication
-        n = ring.order
-        out = np.empty((n, n), dtype=bool)
-        for a in range(n):
-            t = M[M[ring.involution[a]]]
-            out[a] = (t == t[:, a][:, None]).all(axis=0)
-        return _frozen(out)
-
-    return ring.memo("star_leq_matrix", build)
+    return _conrad_matrix(ring, "star_leq_matrix", ring.involution)
 
 
 def cover_leq_matrix(ring: StarRing) -> np.ndarray:
     def build():
         covers = cover_ids_strict(ring)
-        n = ring.order
-        return _frozen(
-            ring.multiplication[covers] == np.arange(n)[:, None]
-        )
+        return _frozen(ring.multiplication[covers] == np.arange(ring.order)[:, None])
 
     return ring.memo("cover_leq_matrix", build)
+
+
+def _bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x @ y) > 0 for boolean matrices."""
+    # float32 BLAS is exact here: every count is at most n, far below 2**24.
+    return (x.astype(np.float32) @ y.astype(np.float32)) > 0
 
 
 def cub_matrix(ring: StarRing) -> np.ndarray:
     """cub[a, b] iff some c satisfies a <= c and b <= c."""
 
     def build():
-        leq = leq_matrix(ring).astype(np.int32)
-        return _frozen((leq @ leq.T) > 0)
+        leq = leq_matrix(ring)
+        return _frozen(_bool_product(leq, leq.T))
 
     return ring.memo("cub_matrix", build)
 
@@ -116,25 +121,17 @@ class OrderDiagnostics:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.reflexive.holds
-            and self.antisymmetric.holds
-            and self.transitive.holds
-        )
+        return self.first_failure() is None
 
     def first_failure(self) -> tuple[str, tuple[int, ...]] | None:
-        for name in ("reflexive", "antisymmetric", "transitive"):
-            check = getattr(self, name)
+        for f in fields(self):
+            check = getattr(self, f.name)
             if not check.holds:
-                return name, check.witness
+                return f.name, check.witness
         return None
 
     def to_json_dict(self) -> dict:
-        return {
-            "reflexive": self.reflexive.to_json_dict(),
-            "antisymmetric": self.antisymmetric.to_json_dict(),
-            "transitive": self.transitive.to_json_dict(),
-        }
+        return {f.name: getattr(self, f.name).to_json_dict() for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def _diagnose(leq: np.ndarray) -> OrderDiagnostics:
         hits.size == 0, tuple(int(v) for v in hits[0]) if hits.size else None
     )
 
-    reach = (leq.astype(np.int32) @ leq.astype(np.int32)) > 0
+    reach = _bool_product(leq, leq)
     viol = reach & ~leq
     witness = None
     if viol.any():
@@ -223,9 +220,9 @@ class PairTables:
     """Per-pair meet/join values with order-theoretic verification bits.
 
     ``meet``/``join`` hold a·C(b) and a+b-a·C(b); ``meet_ok``/``join_ok``
-    record whether an order-theoretic glb/lub exists (the formula value is
-    replaced by a scanned one if the formula candidate fails, so a value
-    differing from the formula is itself a finding).
+    record whether an order-theoretic glb/lub exists (a formula value that
+    fails is replaced by a scanned one, so a value differing from the
+    formula is itself a finding).
     """
 
     cub: np.ndarray
@@ -235,21 +232,13 @@ class PairTables:
     join_ok: np.ndarray
 
 
-def _glb_scan(leq: np.ndarray, a: int, b: int) -> int | None:
-    lb = np.flatnonzero(leq[:, a] & leq[:, b])
-    if not lb.size:
-        return None
-    block = leq[np.ix_(lb, lb)]
-    hits = np.flatnonzero(block.all(axis=0))
-    return int(lb[hits[0]]) if hits.size else None
-
-
-def _lub_scan(leq: np.ndarray, a: int, b: int) -> int | None:
+def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
+    """The first common upper bound of a and b below all the others, or
+    None. ``_least_upper(leq.T, a, b)`` is the greatest lower bound."""
     ub = np.flatnonzero(leq[a] & leq[b])
     if not ub.size:
         return None
-    block = leq[np.ix_(ub, ub)]
-    hits = np.flatnonzero(block.all(axis=1))
+    hits = np.flatnonzero(leq[np.ix_(ub, ub)].all(axis=1))
     return int(ub[hits[0]]) if hits.size else None
 
 
@@ -268,76 +257,55 @@ def pair_tables(ring: StarRing) -> PairTables:
         meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
         join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
         for a in range(n):
-            lower = leq[:, a][:, None] & leq       # [d, b]: d <= a and d <= b
-            meet_ok[a] &= ~(lower & ~leq[:, mv[a]]).any(axis=0)
-            upper = leq[a][:, None] & leq.T        # [d, b]: a <= d and b <= d
-            join_ok[a] &= ~(upper & ~leq[jv[a]].T).any(axis=0)
+            lb = np.flatnonzero(leq[:, a])         # d <= a; rows [d, b]: d <= b
+            meet_ok[a] &= ~(leq[lb] & ~leq[lb[:, None], mv[a]]).any(axis=0)
+            ub = np.flatnonzero(leq[a])            # a <= d; rows [d, b]: b <= d
+            join_ok[a] &= ~(leq[:, ub].T & ~leq[jv[a], ub[:, None]]).any(axis=0)
 
         cub = cub_matrix(ring)
         # The formula candidates are expected to verify wherever a common
-        # upper bound exists; fall back to a raw scan if one does not.
-        for a, b in np.argwhere(cub & ~(meet_ok & join_ok)):
-            g = _glb_scan(leq, int(a), int(b))
-            if g is not None:
-                mv[a, b] = g
-                meet_ok[a, b] = True
-            l = _lub_scan(leq, int(a), int(b))
-            if l is not None:
-                jv[a, b] = l
-                join_ok[a, b] = True
+        # upper bound exists; fall back to a raw scan where one does not.
+        for values, ok, rel in ((mv, meet_ok, leq.T), (jv, join_ok, leq)):
+            for a, b in np.argwhere(cub & ~ok):
+                v = _least_upper(rel, int(a), int(b))
+                if v is not None:
+                    values[a, b] = v
+                    ok[a, b] = True
         return PairTables(cub, _frozen(mv), _frozen(meet_ok), _frozen(jv), _frozen(join_ok))
 
     return ring.memo("pair_tables", build)
 
 
-def _verify_glb(ring: StarRing, a: int, b: int, m: int) -> None:
-    leq = leq_matrix(ring)
-    if not (leq[m, a] and leq[m, b]):
+def _checked(ring: StarRing, name: str, a: int, b: int, value: int, values, ok) -> int:
+    if not ok[a, b] or int(values[a, b]) != value:
         raise VerificationError(
-            f"{ring.label}: meet formula value {m} is not a lower bound of ({a}, {b})"
+            f"{ring.label}: {name} formula value {value} is not the order-theoretic "
+            f"{name} of ({a}, {b})"
         )
-    lower = leq[:, a] & leq[:, b]
-    if (lower & ~leq[:, m]).any():
-        raise VerificationError(
-            f"{ring.label}: meet formula value {m} is not greatest for ({a}, {b})"
-        )
-
-
-def _verify_lub(ring: StarRing, a: int, b: int, j: int) -> None:
-    leq = leq_matrix(ring)
-    if not (leq[a, j] and leq[b, j]):
-        raise VerificationError(
-            f"{ring.label}: join formula value {j} is not an upper bound of ({a}, {b})"
-        )
-    upper = leq[a] & leq[b]
-    if (upper & ~leq[j]).any():
-        raise VerificationError(
-            f"{ring.label}: join formula value {j} is not least for ({a}, {b})"
-        )
+    return value
 
 
 def meet(ring: StarRing, a: int, b: int) -> int | None:
-    """a∧b = a·C(b), verified order-theoretically; None marks no-CUB."""
+    """a∧b = a·C(b), checked against `pair_tables`; None marks no-CUB."""
     a = ring.check(a)
     b = ring.check(b)
     if not has_cub(ring, a, b):
         return None
+    pt = pair_tables(ring)
     m = int(ring.multiplication[a, central_cover(ring, b)])
-    _verify_glb(ring, a, b, m)
-    return m
+    return _checked(ring, "meet", a, b, m, pt.meet, pt.meet_ok)
 
 
 def join(ring: StarRing, a: int, b: int) -> int | None:
-    """a∨b = a+b-a∧b, verified order-theoretically; None marks no-CUB."""
+    """a∨b = a+b-a∧b, checked against `pair_tables`; None marks no-CUB."""
     a = ring.check(a)
     b = ring.check(b)
-    if not has_cub(ring, a, b):
+    m = meet(ring, a, b)
+    if m is None:
         return None
-    m = int(ring.multiplication[a, central_cover(ring, b)])
-    _verify_glb(ring, a, b, m)
+    pt = pair_tables(ring)
     j = int(ring.sub_table()[ring.addition[a, b], m])
-    _verify_lub(ring, a, b, j)
-    return j
+    return _checked(ring, "join", a, b, j, pt.join, pt.join_ok)
 
 
 def is_lattice(ring: StarRing) -> CheckResult:
@@ -345,19 +313,14 @@ def is_lattice(ring: StarRing) -> CheckResult:
     covers = cover_ids_strict(ring)
     ac = ring.multiplication[:, covers]
     hits = np.argwhere(ac != ac.T)
-    if hits.size:
-        return _fail(hits[0])
-    return PASS
+    return _fail(hits[0]) if hits.size else PASS
 
 
 def is_pseudo_lattice(ring: StarRing) -> CheckResult:
     """Every pair with a common upper bound has a verified meet and join."""
     pt = pair_tables(ring)
-    bad = pt.cub & ~(pt.meet_ok & pt.join_ok)
-    hits = np.argwhere(bad)
-    if hits.size:
-        return _fail(hits[0])
-    return PASS
+    hits = np.argwhere(pt.cub & ~(pt.meet_ok & pt.join_ok))
+    return _fail(hits[0]) if hits.size else PASS
 
 
 def subtractivity_check(ring: StarRing) -> tuple[CheckResult, CheckResult | None]:
@@ -423,9 +386,7 @@ def ortho_join_check(ring: StarRing) -> CheckResult:
     pt = pair_tables(ring)
     good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
     hits = np.argwhere(Z & ~good)
-    if hits.size:
-        return _fail(hits[0])
-    return PASS
+    return _fail(hits[0]) if hits.size else PASS
 
 
 def orthomodular_decomposition(ring: StarRing, a: int, b: int) -> int:
@@ -469,30 +430,19 @@ def quasi_orthomodular_check(ring: StarRing) -> CheckResult:
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     leq = leq_matrix(ring)
-    S = ring.sub_table()
     n = ring.order
 
     hits = np.argwhere(Z & ~(pt.cub & pt.join_ok))
     if hits.size:
         return _fail(hits[0], "join-exists")
 
-    for x in range(n):
-        ys = np.flatnonzero(leq[x])
-        zc = S[ys, x]
-        good = (
-            Z[x, zc]
-            & pt.cub[x, zc]
-            & pt.join_ok[x, zc]
-            & (pt.join[x, zc] == ys)
-        )
-        for i in np.flatnonzero(~good):
-            y = int(ys[i])
-            alt = np.flatnonzero(
-                Z[x] & pt.cub[x] & pt.join_ok[x] & (pt.join[x] == y)
-            )
-            if not alt.size:
-                return _fail((x, y), "decomposition")
-
+    # Every orthogonal pair has a join now. reached[x, y]: y = x∨z, z ⊥ x.
+    reached = np.zeros((n, n), dtype=bool)
+    x, z = np.nonzero(Z)
+    reached[x, pt.join[x, z]] = True
+    hits = np.argwhere(leq & ~reached)
+    if hits.size:
+        return _fail(hits[0], "decomposition")
     return cancellation_check(ring)
 
 
@@ -528,22 +478,27 @@ class SegmentPoset:
         }
 
 
-def _seg_glb(L: np.ndarray, i: int, j: int) -> int | None:
-    lb = np.flatnonzero(L[:, i] & L[:, j])
-    if not lb.size:
-        return None
-    block = L[np.ix_(lb, lb)]
-    hits = np.flatnonzero(block.all(axis=0))
-    return int(lb[hits[0]]) if hits.size else None
+def _segment_bound(pt: PairTables | None, glb: bool, elems, pos, L, i, j) -> np.ndarray:
+    """Segment glb (``glb``) or lub of each position pair (i[k], j[k]) of
+    [0, m], as a position, -1 for none.
 
-
-def _seg_lub(L: np.ndarray, i: int, j: int) -> int | None:
-    ub = np.flatnonzero(L[i] & L[j])
-    if not ub.size:
-        return None
-    block = L[np.ix_(ub, ub)]
-    hits = np.flatnonzero(block.all(axis=1))
-    return int(ub[hits[0]]) if hits.size else None
+    ``pt`` is given only when the relation is a partial order. Then every
+    pair of [0, m] has m as a common upper bound, so its global meet or
+    join lies in [0, m] and is its segment glb or lub. Every pair that
+    ``pt`` does not answer is scanned on the segment order ``L``.
+    """
+    out = np.full(i.size, -1, dtype=np.int64)
+    todo = np.ones(i.size, dtype=bool)
+    if pt is not None:
+        values, ok = (pt.meet, pt.meet_ok) if glb else (pt.join, pt.join_ok)
+        todo = ~ok[elems[i], elems[j]]
+        out[~todo] = pos[values[elems[i[~todo]], elems[j[~todo]]]]
+    rel = L.T if glb else L
+    for k in np.flatnonzero(todo):
+        v = _least_upper(rel, int(i[k]), int(j[k]))
+        if v is not None:
+            out[k] = v
+    return out
 
 
 def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
@@ -562,15 +517,8 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
 
     def make(orthoc, orthom, local, witness):
         return SegmentPoset(
-            ring.label,
-            m,
-            tuple(int(e) for e in elems),
-            _frozen(L),
-            tuple(int(c) for c in comp_raw),
-            orthoc,
-            orthom,
-            local,
-            witness,
+            ring.label, m, tuple(map(int, elems)), _frozen(L), tuple(map(int, comp_raw)),
+            orthoc, orthom, local, witness,
         )
 
     def wit(axiom, parts):
@@ -584,22 +532,20 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
         a = int(elems[outside[0]])
         return make(False, False, False, wit("complement-in-segment", (a,)))
 
-    top = int(pos[m])
-    bottom = int(pos[0])
+    pt = pair_tables(ring) if build_order(ring).diagnostics.all_pass else None
+    idx = np.arange(s)
     witness = None
 
     # Orthocomplementation: a∧a' = 0, a∨a' = m, involution, antitone.
-    orthoc = True
-    for i in range(s):
-        ci = int(comp[i])
-        if _seg_glb(L, i, ci) != bottom:
-            orthoc, witness = False, wit("complement-meet-zero", (elems[i],))
-            break
-        if _seg_lub(L, i, ci) != top:
-            orthoc, witness = False, wit("complement-join-top", (elems[i],))
-            break
+    meet_bad = _segment_bound(pt, True, elems, pos, L, idx, comp) != pos[0]
+    join_bad = _segment_bound(pt, False, elems, pos, L, idx, comp) != pos[m]
+    bad = np.flatnonzero(meet_bad | join_bad)
+    orthoc = not bad.size
+    if not orthoc:
+        axiom = "complement-meet-zero" if meet_bad[bad[0]] else "complement-join-top"
+        witness = wit(axiom, (elems[bad[0]],))
     if orthoc:
-        bad = np.flatnonzero(comp[comp] != np.arange(s))
+        bad = np.flatnonzero(comp[comp] != idx)
         if bad.size:
             orthoc = False
             witness = wit("complement-involution", (elems[bad[0]],))
@@ -611,34 +557,24 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
             orthoc = False
             witness = wit("complement-antitone", (elems[i], elems[j]))
 
-    # Orthomodularity over the segment orthogonality a ⊥ b iff a <= b'.
+    # Orthomodularity over the segment orthogonality a ⊥ b iff a <= b',
+    # which is symmetric once the complement is an antitone involution.
     orthom = orthoc
     if orthom:
-        for i in range(s):
-            for j in np.flatnonzero(L[i, comp]):  # i <= comp(j)
-                if _seg_lub(L, i, int(j)) is None:
-                    orthom = False
-                    witness = wit("orthogonal-join-exists", (elems[i], elems[j]))
-                    break
-            if not orthom:
-                break
+        i, j = np.nonzero(L[:, comp])  # i <= comp(j), row-major
+        lub = _segment_bound(pt, False, elems, pos, L, i, j)
+        missing = np.flatnonzero(lub < 0)
+        if missing.size:
+            k = missing[0]
+            orthom = False
+            witness = wit("orthogonal-join-exists", (elems[i[k]], elems[j[k]]))
     if orthom:
-        for i in range(s):
-            for j in np.flatnonzero(L[i]):  # i <= j
-                c = int(pos[S[elems[j], elems[i]]])
-                if c >= 0 and L[c, comp[i]] and _seg_lub(L, i, c) == j:
-                    continue
-                found = False
-                for c in range(s):
-                    if L[c, comp[i]] and _seg_lub(L, i, c) == j:
-                        found = True
-                        break
-                if not found:
-                    orthom = False
-                    witness = wit("orthomodular-decomposition", (elems[i], elems[j]))
-                    break
-            if not orthom:
-                break
+        reached = np.zeros((s, s), dtype=bool)  # [i, b]: b = i∨c for some c ⊥ i
+        reached[i, lub] = True
+        hits = np.argwhere(L & ~reached)
+        if hits.size:
+            orthom = False
+            witness = wit("orthomodular-decomposition", elems[hits[0]])
 
     # Locality: segment orthogonality coincides with ring orthogonality.
     local_mat = L[:, comp]
@@ -667,11 +603,11 @@ def problem2_check(ring: StarRing, include_left: bool = False) -> CheckResult:
     leq = leq_matrix(ring)
     n = ring.order
 
+    idx = np.arange(n)[:, None]
     right = np.zeros((n, n), dtype=bool)
+    right[idx, M] = True    # right[a] marks aR
     left = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        right[a, M[a]] = True
-        left[a, M[:, a]] = True
+    left[idx, M.T] = True   # left[a] marks Ra
     rnz = right[:, 1:]
     lnz = left[:, 1:]
     for a in range(n):
@@ -690,8 +626,7 @@ def covering_matrix(leq: np.ndarray) -> np.ndarray:
     """b covers a iff a < b with nothing strictly between."""
     n = leq.shape[0]
     strict = leq & ~np.eye(n, dtype=bool)
-    via = (strict.astype(np.int32) @ strict.astype(np.int32)) > 0
-    return strict & ~via
+    return strict & ~_bool_product(strict, strict)
 
 
 def hasse_dot(ring: StarRing) -> str:

@@ -90,8 +90,7 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
     if np.argwhere(ef & ef.T & ~np.eye(k, dtype=bool)).size:
         i, j = np.argwhere(ef & ef.T & ~np.eye(k, dtype=bool))[0]
         return _fail((cps[i], cps[j]), "central-projection-antisymmetry")
-    reach = (ef.astype(np.int32) @ ef.astype(np.int32)) > 0
-    hits = np.argwhere(reach & ~ef)
+    hits = np.argwhere(order._bool_product(ef, ef) & ~ef)
     if hits.size:
         i, j = hits[0]
         return _fail((cps[i], cps[j]), "central-projection-transitivity")
@@ -186,20 +185,19 @@ def _check_cub_star_identities(ring: StarRing) -> CheckResult:
     cub = order.cub_matrix(ring)
     n = ring.order
     idx = np.arange(n)
-    P = M[inv].T  # P[r, b] = b*·r
     Mc = M[covers]  # Mc[b] = row of C(b)·
+    brb = M[M[inv].T, idx[None, :]]       # b*·r·b at [r, b]
+    brbs = M[M.T, inv[None, :]]           # b·r·b*
     for a in range(n):
         if not cub[a].any():
             continue
         as_ = int(inv[a])
         ca_row = M[int(covers[a])]
         T = M[M[as_]]                     # a*·r·b at [r, b]
-        brb = M[P, idx[None, :]]          # b*·r·b
         eq1 = T == ca_row[brb]
         eq2 = T == Mc[:, T[:, a]].T       # C(b)·(a*·r·a)
         U = M[M[a]]                       # a·r·b
         arbs = U[:, inv]                  # a·r·b*
-        brbs = M[M.T, inv[None, :]]       # b·r·b*
         eq3 = arbs == ca_row[brbs]
         aras = U[:, as_]                  # a·r·a*
         eq4 = arbs == Mc[:, aras].T       # C(b)·(a·r·a*)

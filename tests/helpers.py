@@ -216,3 +216,73 @@ def is_squarefree(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def oracle_segment(t, m):
+    """The initial segment [0, m] as ``SegmentPoset.to_json_dict`` gives it,
+    less the label. Checks run in the package's order and the first failure
+    is the witness; a segment glb/lub is the first bound, in element order,
+    that lies above/below every other bound."""
+    add, mul, star, one = t
+    n = len(add)
+    elems = [a for a in range(n) if oracle_leq(t, a, m)]
+    pairs = {(a, b) for a in elems for b in elems if oracle_leq(t, a, b)}
+    neg = [next(y for y in range(n) if add[x][y] == 0) for x in range(n)]
+    c = {a: add[m][neg[a]] for a in elems}
+    out = {
+        "top": m,
+        "elements": elems,
+        "leq": [[(a, b) in pairs for b in elems] for a in elems],
+        "complement": [c[a] for a in elems],
+    }
+
+    def verdict(orthoc, orthom, local, failure):
+        axiom, parts = failure or (None, None)
+        witness = {"axiom": axiom, "elements": list(parts)} if failure else None
+        out.update(
+            orthocomplemented=orthoc, orthomodular=orthom, locality=local, witness=witness
+        )
+        return out
+
+    outside = [a for a in elems if c[a] not in elems]
+    if outside:
+        return verdict(False, False, False, ("complement-in-segment", outside[:1]))
+
+    def lub(a, b):
+        return oracle_lub(pairs, elems, a, b)
+
+    def orthocomplement_failures():
+        for a in elems:
+            if oracle_glb(pairs, elems, a, c[a]) != 0:
+                yield "complement-meet-zero", (a,)
+            if lub(a, c[a]) != m:
+                yield "complement-join-top", (a,)
+        for a in elems:
+            if c[c[a]] != a:
+                yield "complement-involution", (a,)
+        for a, b in product(elems, repeat=2):
+            if (a, b) in pairs and (c[b], c[a]) not in pairs:
+                yield "complement-antitone", (a, b)
+
+    def orthomodular_failures():
+        for a, b in product(elems, repeat=2):
+            if (a, c[b]) in pairs and lub(a, b) is None:
+                yield "orthogonal-join-exists", (a, b)
+        for a, b in product(elems, repeat=2):
+            if (a, b) in pairs and not any(
+                (x, c[a]) in pairs and lub(a, x) == b for x in elems
+            ):
+                yield "orthomodular-decomposition", (a, b)
+
+    def locality_failures():
+        for a, b in product(elems, repeat=2):
+            if ((a, c[b]) in pairs) != oracle_orthogonal(t, a, b):
+                yield "segment-locality", (a, b)
+
+    failure = next(orthocomplement_failures(), None)
+    orthoc = failure is None
+    if orthoc:
+        failure = next(orthomodular_failures(), None)
+    orthom = orthoc and failure is None
+    local = next(locality_failures(), None)
+    return verdict(orthoc, orthom, local is None, failure or local)

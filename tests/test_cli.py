@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from starorder import theorems
 from starorder.cli import main
+from starorder.errors import VerificationError
 
 Z6 = '{"type":"modular","n":6}'
 Z4 = '{"type":"modular","n":4}'
@@ -183,6 +185,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", Z6, "--pretty")
         assert code == 0
         assert "meet-join: pass" in out
+
+    @pytest.mark.parametrize(
+        "exc, detail",
+        [
+            (VerificationError("cross-check failed"), "cross-check failed"),
+            (MemoryError(), "MemoryError"),
+        ],
+    )
+    def test_internal_error_exits_3(self, capsys, monkeypatch, exc, detail):
+        def broken(ring):
+            raise exc
+
+        registry = tuple(
+            (tid, gate, broken if tid == "meet-join" else runner)
+            for tid, gate, runner in theorems._REGISTRY
+        )
+        monkeypatch.setattr(theorems, "_REGISTRY", registry)
+        code, out, err = run(capsys, "verify", Z6, "--suite", "meet-join")
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "internal", "detail": detail}
 
 
 class TestFuzzCommand:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import starorder as so
 from helpers import (
+    oracle_cover,
     oracle_covering_edges,
     oracle_glb,
     oracle_leq,
@@ -155,15 +158,52 @@ class TestMeetJoin:
         t = ring_tables(z6)
         assert oracle_glb(oracle_leq_pairs(t), range(6), 1, 2) == 0
 
-    def test_against_order_theoretic_oracle(self, z6, z2xz2):
-        for r in (z6, z2xz2):
+    def test_against_order_theoretic_oracle(self, z6, z2xz2, m2z2, swap_ring):
+        # None exactly where the cover formula a·C(b) = b·C(a) denies a
+        # common upper bound (on swap_ring the scan finds one at (1, 2));
+        # VerificationError exactly where a formula value is not the
+        # order-theoretic glb/lub.
+        for r in (z6, z2xz2, m2z2, swap_ring):
             t = ring_tables(r)
+            add, mul = t[0], t[1]
             pairs = oracle_leq_pairs(t)
-            for a in r.elements():
-                for b in r.elements():
-                    if so.has_cub(r, a, b):
-                        assert so.meet(r, a, b) == oracle_glb(pairs, r.elements(), a, b)
-                        assert so.join(r, a, b) == oracle_lub(pairs, r.elements(), a, b)
+            elems = list(r.elements())
+            cover = [oracle_cover(t, x) for x in elems]
+            neg = [next(y for y in elems if add[x][y] == 0) for x in elems]
+            for a in elems:
+                for b in elems:
+                    m = mul[a][cover[b]]
+                    if m != mul[b][cover[a]]:
+                        assert so.meet(r, a, b) is None and so.join(r, a, b) is None
+                        continue
+                    if m != oracle_glb(pairs, elems, a, b):
+                        for op in (so.meet, so.join):
+                            with pytest.raises(so.VerificationError):
+                                op(r, a, b)
+                        continue
+                    assert so.meet(r, a, b) == m
+                    j = add[add[a][b]][neg[m]]
+                    if j != oracle_lub(pairs, elems, a, b):
+                        with pytest.raises(so.VerificationError):
+                            so.join(r, a, b)
+                    else:
+                        assert so.join(r, a, b) == j
+        assert so.meet(swap_ring, 1, 2) is None and so.build_order(swap_ring).cub[1, 2]
+
+    @pytest.mark.parametrize(
+        "field, value", [("meet_ok", False), ("meet", 2), ("join_ok", False), ("join", 2)]
+    )
+    def test_table_disagreement_raises(self, z6, monkeypatch, field, value):
+        # meet(2, 3) = 0 and join(2, 3) = 5 in Z6; a false ok bit or a table
+        # value other than the formula value is a failed cross-check.
+        pt = so.order.pair_tables(z6)
+        table = getattr(pt, field).copy()
+        table[2, 3] = value
+        broken = dataclasses.replace(pt, **{field: table})
+        monkeypatch.setattr(so.order, "pair_tables", lambda ring: broken)
+        op = so.meet if field.startswith("meet") else so.join
+        with pytest.raises(so.VerificationError):
+            op(z6, 2, 3)
 
 
 class TestLattice:

@@ -1,7 +1,7 @@
 import pytest
 
 import starorder as so
-from helpers import oracle_orthogonal, ring_tables
+from helpers import oracle_orthogonal, oracle_segment, ring_tables
 
 
 class TestOrthogonal:
@@ -155,3 +155,13 @@ class TestInitialSegments:
             "witness",
         ]
         assert d["elements"] == [0, 2, 3, 5]
+
+    def test_every_segment_matches_oracle(self, curated_pq, non_semiprime, swap_ring):
+        # The non-semiprime carriers are not partial orders: their segments
+        # run the scanner path and produce failing witnesses.
+        for r in curated_pq + non_semiprime + [swap_ring]:
+            t = ring_tables(r)
+            for m in r.elements():
+                got = so.initial_segment(r, m).to_json_dict()
+                del got["label"]
+                assert got == oracle_segment(t, m), (r.label, m)
