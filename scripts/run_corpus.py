@@ -10,29 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import combinations_with_replacement
+from pathlib import Path
 
 import starorder as so
 
-
-def is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def curated_rings(limit: int):
-    for n in range(1, limit + 1):
-        if is_squarefree(n):
-            yield so.build_modular(n)
-    for k in (1, 2, 3):
-        for combo in combinations_with_replacement((2, 3, 5), k):
-            yield so.build_product([so.build_modular(p) for p in combo])
-    yield so.build_matrix(so.build_modular(2), 2)
-    yield so.build_matrix(so.build_modular(3), 2)
+# The corpus is shared with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from corpus import curated_rings  # noqa: E402
 
 
 def main() -> int:

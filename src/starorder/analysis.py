@@ -126,63 +126,63 @@ class AnnihilatorResult:
     principal_projection: int | None
 
 
-def _proj_ideal_masks(ring: StarRing, kind: str):
-    """Projections e with the masks of eR (``kind`` "right") or Re ("left")."""
+def _ideal_masks(ring: StarRing, rows, kind: str) -> np.ndarray:
+    """Row i marks rows[i]·R (``kind`` "right") or R·rows[i] ("left")."""
+    M = ring.multiplication
+    ideals = M[rows] if kind == "right" else M[:, rows].T
+    masks = np.zeros((len(rows), ring.order), dtype=bool)
+    masks[np.arange(len(rows))[:, None], ideals] = True
+    return masks
+
+
+def _proj_ideal_masks(ring: StarRing, kind: str) -> dict:
+    """Lookup from the mask bytes of eR (``kind`` "right") or Re ("left")
+    to the projection e. eR = fR forces e = f, so no mask has two."""
 
     def build():
         projs = np.flatnonzero(projection_mask(ring))
-        M = ring.multiplication
-        ideals = M[projs] if kind == "right" else M[:, projs].T
-        masks = np.zeros((projs.size, ring.order), dtype=bool)
-        masks[np.arange(projs.size)[:, None], ideals] = True
-        return projs, _frozen(masks)
+        masks = _ideal_masks(ring, projs, kind)
+        return {mask.tobytes(): int(e) for mask, e in zip(masks, projs)}
 
     return ring.memo(f"proj_{kind}_ideal_masks", build)
 
 
 def _match_projection(ring: StarRing, mask: np.ndarray, kind: str) -> int | None:
-    projs, ideals = _proj_ideal_masks(ring, kind)
-    hits = np.flatnonzero((ideals == mask).all(axis=1))
-    return int(projs[hits[0]]) if hits.size else None
+    return _proj_ideal_masks(ring, kind).get(mask.tobytes())
+
+
+def _annihilator(ring: StarRing, kind: str, description: str, mask) -> AnnihilatorResult:
+    return AnnihilatorResult(
+        kind,
+        description,
+        frozenset(int(x) for x in np.flatnonzero(mask)),
+        _match_projection(ring, mask, kind),
+    )
+
+
+def _set_annihilator(ring: StarRing, elems, kind: str) -> AnnihilatorResult:
+    B = sorted({ring.check(b) for b in elems})
+    if not B:
+        raise PreconditionError("annihilator of the empty set")
+    M = ring.multiplication
+    mask = (M[B] == 0).all(axis=0) if kind == "right" else (M[:, B] == 0).all(axis=1)
+    return _annihilator(ring, kind, f"{kind[0]}({{{','.join(map(str, B))}}})", mask)
 
 
 def right_annihilator(ring: StarRing, elems) -> AnnihilatorResult:
     """r_R(B) = {x : b·x = 0 for all b in B}, for nonempty B."""
-    B = sorted({ring.check(b) for b in elems})
-    if not B:
-        raise PreconditionError("annihilator of the empty set")
-    mask = (ring.multiplication[B] == 0).all(axis=0)
-    return AnnihilatorResult(
-        "right",
-        f"r({{{','.join(map(str, B))}}})",
-        frozenset(int(x) for x in np.flatnonzero(mask)),
-        _match_projection(ring, mask, "right"),
-    )
+    return _set_annihilator(ring, elems, "right")
 
 
 def left_annihilator(ring: StarRing, elems) -> AnnihilatorResult:
-    B = sorted({ring.check(b) for b in elems})
-    if not B:
-        raise PreconditionError("annihilator of the empty set")
-    mask = (ring.multiplication[:, B] == 0).all(axis=1)
-    return AnnihilatorResult(
-        "left",
-        f"l({{{','.join(map(str, B))}}})",
-        frozenset(int(x) for x in np.flatnonzero(mask)),
-        _match_projection(ring, mask, "left"),
-    )
+    """l_R(B) = {x : x·b = 0 for all b in B}, for nonempty B."""
+    return _set_annihilator(ring, elems, "left")
 
 
 def right_ann_principal(ring: StarRing, a: int) -> AnnihilatorResult:
     """r_R(aR): right annihilator of the principal right ideal of a."""
     a = ring.check(a)
-    mask = zero_product_matrix(ring)[a]
-    return AnnihilatorResult(
-        "right",
-        f"r({a}R)",
-        frozenset(int(x) for x in np.flatnonzero(mask)),
-        _match_projection(ring, mask, "right"),
-    )
+    return _annihilator(ring, "right", f"r({a}R)", zero_product_matrix(ring)[a])
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +276,7 @@ class ClassificationReport:
     pq_baer_witnesses: tuple[int, ...] | None
 
     def flags(self) -> dict:
-        return {
-            "semiprime": self.is_semiprime,
-            "reduced": self.is_reduced,
-            "abelian": self.is_abelian,
-            "rickart_star": self.is_rickart_star,
-            "pq_baer_star": self.is_pq_baer_star,
-            "two_invertible": self.is_two_invertible,
-        }
+        return {name: getattr(self, f"is_{name}") for name in FLAG_NAMES}
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,13 +307,12 @@ def classify(ring: StarRing) -> ClassificationReport:
         n = ring.order
         idx = np.arange(n)
         witnesses: dict = {}
+        zp = zero_product_matrix(ring)
 
-        semiprime = True
-        for a in range(1, n):
-            if not M[M[a], a].any():
-                semiprime = False
-                witnesses["semiprime"] = (a,)
-                break
+        bad = np.flatnonzero(np.diagonal(zp)[1:])  # a ≠ 0 with aRa = 0
+        semiprime = bad.size == 0
+        if not semiprime:
+            witnesses["semiprime"] = (int(bad[0]) + 1,)
 
         squares = M[idx, idx]
         nil = np.flatnonzero((squares == 0) & (idx != 0))
@@ -337,23 +329,16 @@ def classify(ring: StarRing) -> ClassificationReport:
             abelian = False
             witnesses["abelian"] = (e, x)
 
-        rickart = True
-        for a in range(n):
-            if _match_projection(ring, M[a] == 0, "right") is None:
-                rickart = False
-                witnesses["rickart_star"] = (a,)
-                break
-
-        zp = zero_product_matrix(ring)
-        pq = True
-        pq_wit: list[int] = []
-        for a in range(n):
-            e = _match_projection(ring, zp[a], "right")
-            if e is None:
-                pq = False
-                witnesses["pq_baer_star"] = (a,)
-                break
-            pq_wit.append(e)
+        # Row a of M == 0 is r(a); row a of zp is r(aR).
+        lookup = _proj_ideal_masks(ring, "right")
+        rickart_wit = [lookup.get(row.tobytes()) for row in M == 0]
+        rickart = None not in rickart_wit
+        if not rickart:
+            witnesses["rickart_star"] = (rickart_wit.index(None),)
+        pq_wit = [lookup.get(row.tobytes()) for row in zp]
+        pq = None not in pq_wit
+        if not pq:
+            witnesses["pq_baer_star"] = (pq_wit.index(None),)
 
         two = int(ring.addition[ring.one, ring.one])
         two_inv = bool((M[two] == ring.one).any())
@@ -374,6 +359,14 @@ def classify(ring: StarRing) -> ClassificationReport:
         )
 
     return ring.memo("classification", build)
+
+
+def require_pq_baer(ring: StarRing) -> ClassificationReport:
+    """The classification of ``ring``, which must be a p.q.-Baer *-ring."""
+    report = classify(ring)
+    if not report.is_pq_baer_star:
+        raise PreconditionError(f"{ring.label} is not a p.q.-Baer *-ring")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +402,22 @@ def verify_annihilator_identity(ring: StarRing) -> CheckResult:
     """Check, for every x with cover e, that the six annihilator sets
     r(xR), r(eR), l(Rx), l(Re), (1-e)R, R(1-e) coincide and that
     xRy = 0, yRx = 0, and e·y = 0 single out the same y."""
-    report = classify(ring)
-    if not report.is_pq_baer_star:
-        raise PreconditionError(f"{ring.label} is not a p.q.-Baer *-ring")
+    require_pq_baer(ring)
     M = ring.multiplication
-    S = ring.sub_table()
     Z = zero_product_matrix(ring)
-    n = ring.order
     covers = cover_ids_strict(ring)
-    for x in range(n):
+    f = ring.sub_table()[ring.one, covers]  # 1 - C(x)
+    fR = _ideal_masks(ring, f, "right")
+    Rf = _ideal_masks(ring, f, "left")
+    for x in range(ring.order):
         e = int(covers[x])
-        f = int(S[ring.one, e])
-        fR = np.zeros(n, dtype=bool)
-        fR[M[f]] = True
-        Rf = np.zeros(n, dtype=bool)
-        Rf[M[:, f]] = True
         base = Z[x]
         for other, tag in (
             (Z[e], "r(eR)"),
             (Z[:, x], "l(Rx)"),
             (Z[:, e], "l(Re)"),
-            (fR, "(1-e)R"),
-            (Rf, "R(1-e)"),
+            (fR[x], "(1-e)R"),
+            (Rf[x], "R(1-e)"),
             (M[e] == 0, "ey=0"),
         ):
             diff = np.flatnonzero(base != other)

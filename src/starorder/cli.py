@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import classify, cover_table
@@ -64,7 +65,10 @@ def _load_ring(source: str):
         path = Path(source)
         if not path.is_file():
             raise _InputError("spec-source", f"no such spec file: {source}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _InputError("spec-source", f"cannot read spec file {source}: {exc}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -114,13 +118,11 @@ def _cmd_order(args) -> int:
     structure = build_order(ring)
     if args.pretty:
         print(f"{structure.label} Conrad relation")
-        for name, check in (
-            ("reflexive", structure.diagnostics.reflexive),
-            ("antisymmetric", structure.diagnostics.antisymmetric),
-            ("transitive", structure.diagnostics.transitive),
-        ):
+        diag = structure.diagnostics
+        for f in fields(diag):
+            check = getattr(diag, f.name)
             state = "ok" if check.holds else f"FAIL at {list(check.witness)}"
-            print(f"  {name}: {state}")
+            print(f"  {f.name}: {state}")
     else:
         _emit(structure.to_json_dict())
     return 0 if structure.diagnostics.all_pass else 1
@@ -190,7 +192,10 @@ def _cmd_hasse(args) -> int:
         return 1
     dot = hasse_dot(ring)
     if args.out:
-        Path(args.out).write_text(dot)
+        try:
+            Path(args.out).write_text(dot)
+        except OSError as exc:
+            raise _InputError("output", f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(dot)
     return 0

@@ -19,7 +19,6 @@ from .rings import (
     build_modular,
     build_product,
     realize,
-    ring_to_table_spec,
     spec_to_json,
 )
 from .theorems import run_suite
@@ -249,7 +248,7 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
                 ring = realize(candidate, cap)
             except TableValidationError:
                 continue
-            if not check(ring, ring_to_table_spec(ring)):
+            if not check(ring, candidate):
                 break
 
     return FuzzReport(config, rings_checked, counts, failures)

@@ -15,11 +15,12 @@ from .analysis import (
     CheckResult,
     PASS,
     _fail,
+    _ideal_masks,
     central_cover,
-    classify,
     cover_ids_strict,
     cover_table,
     CentralCoverTable,
+    require_pq_baer,
     zero_product_matrix,
 )
 from .errors import CoverAbsentError, PreconditionError, VerificationError
@@ -329,9 +330,7 @@ def subtractivity_check(ring: StarRing) -> tuple[CheckResult, CheckResult | None
     Returns (forward, biconditional); the biconditional is only evaluated
     when 2 is invertible, and is None otherwise.
     """
-    report = classify(ring)
-    if not report.is_pq_baer_star:
-        raise PreconditionError(f"{ring.label} is not a p.q.-Baer *-ring")
+    report = require_pq_baer(ring)
     covers = cover_ids_strict(ring)
     S = ring.sub_table()
     leq = leq_matrix(ring)
@@ -374,14 +373,9 @@ def orthogonality_axioms(ring: StarRing) -> CheckResult:
     return PASS
 
 
-def _require_pq(ring: StarRing) -> None:
-    if not classify(ring).is_pq_baer_star:
-        raise PreconditionError(f"{ring.label} is not a p.q.-Baer *-ring")
-
-
 def ortho_join_check(ring: StarRing) -> CheckResult:
     """Orthogonal pairs have a common upper bound, meet 0, and join a+b."""
-    _require_pq(ring)
+    require_pq_baer(ring)
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
@@ -409,7 +403,7 @@ def orthomodular_decomposition(ring: StarRing, a: int, b: int) -> int:
 
 def cancellation_check(ring: StarRing) -> CheckResult:
     """x ⊥ y, x ⊥ z, y <= x∨z imply y <= z, over all triples."""
-    _require_pq(ring)
+    require_pq_baer(ring)
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     leq = leq_matrix(ring)
@@ -426,7 +420,7 @@ def cancellation_check(ring: StarRing) -> CheckResult:
 
 def quasi_orthomodular_check(ring: StarRing) -> CheckResult:
     """Orthogonal joins exist, decompositions exist, and cancellation holds."""
-    _require_pq(ring)
+    require_pq_baer(ring)
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     leq = leq_matrix(ring)
@@ -597,25 +591,19 @@ def problem2_check(ring: StarRing, include_left: bool = False) -> CheckResult:
 
     With ``include_left`` the hypothesis also requires Ra ∩ Rb = {0}.
     """
-    _require_pq(ring)
-    M = ring.multiplication
+    require_pq_baer(ring)
     A = ring.addition
     leq = leq_matrix(ring)
     n = ring.order
 
-    idx = np.arange(n)[:, None]
-    right = np.zeros((n, n), dtype=bool)
-    right[idx, M] = True    # right[a] marks aR
-    left = np.zeros((n, n), dtype=bool)
-    left[idx, M.T] = True   # left[a] marks Ra
-    rnz = right[:, 1:]
-    lnz = left[:, 1:]
+    def disjoint(kind):  # [a, b]: aR ∩ bR = {0} ("right") or Ra ∩ Rb = {0}
+        nonzero = _ideal_masks(ring, np.arange(n), kind)[:, 1:]
+        return ~_bool_product(nonzero, nonzero.T)
+
+    hyp = disjoint("right") & disjoint("left") if include_left else disjoint("right")
     for a in range(n):
-        disjoint = ~(rnz[a][None, :] & rnz).any(axis=1)
-        if include_left:
-            disjoint &= ~(lnz[a][None, :] & lnz).any(axis=1)
         viol = leq[a][None, :] & leq & ~leq[A[a]]  # [b, c]
-        viol &= disjoint[:, None]
+        viol &= hyp[a][:, None]
         if viol.any():
             b, c = np.argwhere(viol)[0]
             return _fail((a, b, c))

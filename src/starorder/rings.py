@@ -512,8 +512,6 @@ def realize(spec: RingSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
     if isinstance(spec, ModularSpec):
         return build_modular(spec.n, cap)
     if isinstance(spec, ProductSpec):
-        if not spec.parts:
-            raise RingSpecError("product of no rings")
         return build_product([realize(p, cap) for p in spec.parts], cap)
     if isinstance(spec, MatrixSpec):
         return build_matrix(realize(spec.base, cap), spec.k, cap)

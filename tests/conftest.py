@@ -57,25 +57,12 @@ def swap_ring():
     )
 
 
-def _squarefree_moduli(limit=30):
-    from helpers import is_squarefree
-
-    return [n for n in range(1, limit + 1) if is_squarefree(n)]
-
-
 @pytest.fixture(scope="session")
 def curated_pq():
-    """The curated p.q.-Baer* corpus: squarefree Z_n (n <= 30), products of
-    up to three prime-order factors, M2(Z2) and M2(Z3)."""
-    from itertools import combinations_with_replacement
+    """The curated p.q.-Baer* corpus (see ``corpus.curated_rings``)."""
+    from corpus import curated_rings
 
-    rings = [so.build_modular(n) for n in _squarefree_moduli()]
-    for k in (1, 2, 3):
-        for combo in combinations_with_replacement((2, 3, 5), k):
-            rings.append(so.build_product([so.build_modular(p) for p in combo]))
-    rings.append(so.build_matrix(so.build_modular(2), 2))
-    rings.append(so.build_matrix(so.build_modular(3), 2))
-    return rings
+    return curated_rings()
 
 
 @pytest.fixture(scope="session")

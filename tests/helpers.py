@@ -286,3 +286,55 @@ def oracle_segment(t, m):
     orthom = orthoc and failure is None
     local = next(locality_failures(), None)
     return verdict(orthoc, orthom, local is None, failure or local)
+
+
+def oracle_generator(t, ann, kind):
+    """The projection e with eR (``kind`` "right") or Re ("left") equal to
+    the set ``ann``, or None; the first in element order."""
+    mul = t[1]
+    n = len(mul)
+    for e in oracle_projections(t):
+        if kind == "right":
+            ideal = {mul[e][r] for r in range(n)}
+        else:
+            ideal = {mul[r][e] for r in range(n)}
+        if ideal == set(ann):
+            return e
+    return None
+
+
+def oracle_annihilator_generators(t):
+    """``(right, left)``: for each a, the projection generating r({a}) and
+    the one generating l({a}), or None."""
+    mul = t[1]
+    n = len(mul)
+    right = [oracle_generator(t, oracle_right_annihilator(t, [a]), "right") for a in range(n)]
+    left = [
+        oracle_generator(t, [x for x in range(n) if mul[x][a] == 0], "left")
+        for a in range(n)
+    ]
+    return right, left
+
+
+def oracle_classification(t):
+    """``(witnesses, generators)``: the first witness against semiprime,
+    Rickart * and p.q.-Baer *, keyed as ``classify`` keys them, and the
+    projection generating each r(aR) when the ring is p.q.-Baer *."""
+    mul = t[1]
+    n = len(mul)
+    witnesses = {}
+    for a in range(1, n):
+        if all(mul[mul[a][r]][a] == 0 for r in range(n)):
+            witnesses["semiprime"] = (a,)
+            break
+    right, _ = oracle_annihilator_generators(t)
+    if None in right:
+        witnesses["rickart_star"] = (right.index(None),)
+    generators = []
+    for a in range(n):
+        ann = [x for x in range(n) if all(mul[mul[a][r]][x] == 0 for r in range(n))]
+        generators.append(oracle_generator(t, ann, "right"))
+    if None in generators:
+        witnesses["pq_baer_star"] = (generators.index(None),)
+        return witnesses, None
+    return witnesses, tuple(generators)

@@ -5,6 +5,8 @@ import starorder as so
 from helpers import (
     is_squarefree,
     mat2_index,
+    oracle_annihilator_generators,
+    oracle_classification,
     oracle_central_projections,
     oracle_cover,
     oracle_idempotents,
@@ -220,6 +222,22 @@ class TestClassification:
         assert rep.is_pq_baer_star == sf
         assert rep.is_abelian  # commutative
         assert rep.is_two_invertible == (n % 2 == 1)
+
+
+    def test_lookups_against_oracle(self, curated_pq, non_semiprime, swap_ring):
+        # Every first witness, every r(aR) generator, and the generator of
+        # every one-element left and right annihilator; curated_pq holds M2(Z2).
+        for r in curated_pq + non_semiprime + [swap_ring]:
+            t = ring_tables(r)
+            witnesses, generators = oracle_classification(t)
+            report = so.classify(r)
+            keys = ("semiprime", "rickart_star", "pq_baer_star")
+            got = {k: v for k, v in report.witnesses.items() if k in keys}
+            assert (got, report.pq_baer_witnesses) == (witnesses, generators), r.label
+            right, left = oracle_annihilator_generators(t)
+            for a in r.elements():
+                assert so.right_annihilator(r, [a]).principal_projection == right[a]
+                assert so.left_annihilator(r, [a]).principal_projection == left[a]
 
 
 class TestCentralCovers:

@@ -112,6 +112,27 @@ class TestClassify:
         assert code == 2
         assert json.loads(err)["error"] == "spec-source"
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "ring.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "spec-source"
+
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "ring.json"
+        path.write_text(Z6)
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "spec-source"
+
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "classify", Z6, "--pretty")
         assert code == 0
@@ -248,6 +269,13 @@ class TestHasse:
         code, out, _ = run(capsys, "hasse", Z6, "--out", str(target))
         assert code == 0
         assert target.read_text() == GOLDEN.read_text()
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "z6.dot"
+        code, out, err = run(capsys, "hasse", Z6, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "output"
 
     def test_z4_refused_with_diagnostics(self, capsys):
         code, out, _ = run(capsys, "hasse", Z4)
