@@ -23,7 +23,6 @@ from .analysis import (
     verify_cover_lemma,
 )
 from .errors import (
-    CoverAbsentError,
     ForeignElementError,
     OrderCapError,
     PreconditionError,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverAbsentError, PreconditionError, VerificationError
+from .errors import PreconditionError, VerificationError
 from .rings import StarRing, _frozen
 
 FLAG_NAMES = (
@@ -193,69 +193,39 @@ def right_ann_principal(ring: StarRing, a: int) -> AnnihilatorResult:
 class CentralCoverTable:
     label: str
     order: int
-    cover: tuple[int | None, ...]
-
-    @property
-    def complete(self) -> bool:
-        return all(c is not None for c in self.cover)
+    cover: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "cover": [c for c in self.cover],
-        }
+        return {"label": self.label, "order": self.order, "cover": list(self.cover)}
 
 
-def _cover_ids(ring: StarRing) -> np.ndarray:
-    """Cover of each element as an int array; -1 marks an absent cover."""
+def cover_ids(ring: StarRing) -> np.ndarray:
+    """Central cover C(x) of every element x, as an int array.
+
+    C(x) is the product of the central projections e with e·x = x: 1 is
+    one, and a product of commuting central projections that fix x is a
+    central projection that fixes x and lies below each factor.
+    """
 
     def build():
         M = ring.multiplication
-        cps = central_projection_ids(ring)
-        sub = M[np.ix_(cps, cps)]
-        out = np.full(ring.order, -1, dtype=np.int64)
-        for x in range(ring.order):
-            keep = M[cps, x] == x
-            cands = np.flatnonzero(keep)
-            if not cands.size:
-                continue
-            block = sub[np.ix_(cands, cands)]
-            least = np.flatnonzero((block == cps[cands][:, None]).all(axis=1))
-            if least.size:
-                out[x] = cps[cands[least[0]]]
+        idx = np.arange(ring.order)
+        out = np.full(ring.order, ring.one, dtype=np.int64)
+        for e in central_projection_ids(ring):
+            fixes = M[e] == idx
+            out[fixes] = M[out[fixes], e]
         return _frozen(out)
 
     return ring.memo("cover_ids", build)
 
 
-def central_cover(ring: StarRing, x: int) -> int | None:
-    """Least central projection h with h·x = x, or None when no least exists."""
-    x = ring.check(x)
-    c = int(_cover_ids(ring)[x])
-    return None if c < 0 else c
+def central_cover(ring: StarRing, x: int) -> int:
+    """Least central projection h with h·x = x."""
+    return int(cover_ids(ring)[ring.check(x)])
 
 
 def cover_table(ring: StarRing) -> CentralCoverTable:
-    def build():
-        ids = _cover_ids(ring)
-        return CentralCoverTable(
-            ring.label,
-            ring.order,
-            tuple(None if c < 0 else int(c) for c in ids),
-        )
-
-    return ring.memo("cover_table", build)
-
-
-def cover_ids_strict(ring: StarRing) -> np.ndarray:
-    ids = _cover_ids(ring)
-    missing = np.flatnonzero(ids < 0)
-    if missing.size:
-        raise CoverAbsentError(
-            f"{ring.label}: element {int(missing[0])} has no central cover"
-        )
-    return ids
+    return CentralCoverTable(ring.label, ring.order, tuple(map(int, cover_ids(ring))))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +375,7 @@ def verify_annihilator_identity(ring: StarRing) -> CheckResult:
     require_pq_baer(ring)
     M = ring.multiplication
     Z = zero_product_matrix(ring)
-    covers = cover_ids_strict(ring)
+    covers = cover_ids(ring)
     f = ring.sub_table()[ring.one, covers]  # 1 - C(x)
     fR = _ideal_masks(ring, f, "right")
     Rf = _ideal_masks(ring, f, "left")

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from .analysis import classify, cover_table
 from .errors import (
-    CoverAbsentError,
     ForeignElementError,
     OrderCapError,
     PreconditionError,
@@ -30,7 +29,6 @@ _INPUT_ERRORS = (
     RingSpecError,
     TableValidationError,
     ForeignElementError,
-    CoverAbsentError,
     PreconditionError,
 )
 
@@ -107,7 +105,7 @@ def _cmd_covers(args) -> int:
     if args.pretty:
         print(f"{table.label} central covers")
         for x, c in enumerate(table.cover):
-            print(f"  {ring.name_of(x)} -> {'absent' if c is None else ring.name_of(c)}")
+            print(f"  {ring.name_of(x)} -> {ring.name_of(c)}")
     else:
         _emit(table.to_json_dict())
     return 0
@@ -258,7 +256,6 @@ def main(argv: list[str] | None = None) -> int:
             TableValidationError: "invalid-tables",
             OrderCapError: "order-cap",
             ForeignElementError: "foreign-element",
-            CoverAbsentError: "cover-absent",
             PreconditionError: "precondition",
         }.get(type(exc), "ring-spec")
         print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)

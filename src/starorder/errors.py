@@ -26,10 +26,6 @@ class ForeignElementError(ValueError):
     """An element id is out of range for the ring it was used with."""
 
 
-class CoverAbsentError(ValueError):
-    """A central cover required by the operation does not exist."""
-
-
 class PreconditionError(ValueError):
     """An operation was invoked on a carrier that fails its hypothesis."""
 

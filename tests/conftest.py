@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -55,6 +57,22 @@ def swap_ring():
     return so.build_from_tables(
         so.TableSpec(spec.order, spec.add, spec.mul, (0, 2, 1, 3), 0, spec.one)
     )
+
+
+@pytest.fixture(scope="session")
+def t2z2():
+    """Upper-triangular 2x2 matrices over Z2, element 4a + 2b + d for
+    [[a, b], [0, d]], with the involution [[a, b], [0, d]] -> [[d, b], [0, a]].
+    e11·R·e22 != 0 but e22·R·e11 = 0: the zero-product relation is asymmetric."""
+    elems = list(product(range(2), repeat=3))
+
+    def enc(a, b, d):
+        return elems.index((a % 2, b % 2, d % 2))
+
+    add = tuple(tuple(enc(a + x, b + y, d + z) for x, y, z in elems) for a, b, d in elems)
+    mul = tuple(tuple(enc(a * x, a * y + b * z, d * z) for x, y, z in elems) for a, b, d in elems)
+    star = tuple(enc(d, b, a) for a, b, d in elems)
+    return so.build_from_tables(so.TableSpec(8, add, mul, star, 0, enc(1, 0, 1)))
 
 
 @pytest.fixture(scope="session")

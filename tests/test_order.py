@@ -305,19 +305,6 @@ class TestHasse:
         assert '0 [label="(0,0)"];' in dot
 
 
-def test_cover_absent_guard(z6):
-    # Finite unital carriers always have covers (the candidate set is
-    # closed under products), so force an absence to exercise the guard.
-    ring = so.build_modular(6)
-    ring._memo["cover_ids"] = np.array([0, 1, -1, 3, 4, 1])
-    with pytest.raises(so.CoverAbsentError):
-        so.leq_cover(ring, 2, 5)
-    with pytest.raises(so.CoverAbsentError):
-        so.meet(ring, 2, 3)
-    with pytest.raises(so.CoverAbsentError):
-        so.initial_segment(ring, 5)
-
-
 @given(st.integers(min_value=1, max_value=20), st.data())
 def test_leq_matches_oracle_on_random_pairs(n, data):
     r = so.build_modular(n)

@@ -156,10 +156,11 @@ class TestInitialSegments:
         ]
         assert d["elements"] == [0, 2, 3, 5]
 
-    def test_every_segment_matches_oracle(self, curated_pq, non_semiprime, swap_ring):
+    def test_every_segment_matches_oracle(self, curated_pq, non_semiprime, swap_ring, t2z2):
         # The non-semiprime carriers are not partial orders: their segments
-        # run the scanner path and produce failing witnesses.
-        for r in curated_pq + non_semiprime + [swap_ring]:
+        # run the scanner path and produce failing witnesses. Most segments
+        # of t2z2 fail with complement-in-segment.
+        for r in curated_pq + non_semiprime + [swap_ring, t2z2]:
             t = ring_tables(r)
             for m in r.elements():
                 got = so.initial_segment(r, m).to_json_dict()
