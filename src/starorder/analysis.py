@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .rings import StarRing, _frozen
+from .rings import StarRing, _frozen, _row_blocks
 
 FLAG_NAMES = (
     "semiprime",
@@ -92,15 +92,18 @@ def zero_product_matrix(ring: StarRing) -> np.ndarray:
     """Boolean matrix Z with Z[a, b] iff a·r·b = 0 for every r.
 
     Row a is exactly the right annihilator of the principal ideal aR;
-    column b is the left annihilator of Rb.
+    column b is the left annihilator of Rb. r ranges over the additive
+    generating set G only: r -> a·r·b is additive, so the r with a·r·b = 0
+    form a subgroup of (R, +), which is all of R once it holds G.
     """
 
     def build():
         M = ring.multiplication
+        G = ring.generators
         n = ring.order
         out = np.empty((n, n), dtype=bool)
-        for a in range(n):
-            out[a] = (M[M[a]] == 0).all(axis=0)
+        for blk in _row_blocks(n, G.size * n):
+            out[blk] = (M[M[blk, G]] == 0).all(axis=1)  # a·g·b at [a, g, b]
         return _frozen(out)
 
     return ring.memo("zero_product_matrix", build)

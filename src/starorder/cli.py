@@ -25,6 +25,10 @@ from .theorems import THEOREM_IDS, run_suite, run_theorem
 
 CAP_ENV_VAR = "STARORDER_ORDER_CAP"
 
+# The reader of stdout went away (e.g. `| head -1`): the code a shell reports
+# for a process killed by SIGPIPE, 128 + 13, and never 1 ("a check failed").
+EXIT_BROKEN_PIPE = 141
+
 _INPUT_ERRORS = (
     RingSpecError,
     TableValidationError,
@@ -247,7 +251,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader. Point stdout at devnull so the
+        # interpreter's flush at exit does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _InputError as exc:
         print(json.dumps({"error": exc.kind, "detail": exc.detail}), file=sys.stderr)
         return 2

@@ -24,6 +24,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_BLOCK = 1 << 16  # elements of one gathered block: 256 KB of int32
+
+
+def _row_blocks(n: int, row_size: int) -> list[slice]:
+    """Consecutive slices of range(n), each of as many rows of ``row_size``
+    elements as fit in ``_BLOCK`` (at least one), so a gather over a block
+    stays small however large n is."""
+    step = max(1, _BLOCK // max(row_size, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 @dataclass(frozen=True, eq=False)
 class StarRing:
     """A finite unital ring with involution, backed by dense lookup tables.
@@ -39,6 +50,7 @@ class StarRing:
     multiplication: np.ndarray  # multiplication[a, b] = a * b
     involution: np.ndarray      # involution[a] = a*
     negation: np.ndarray        # negation[a] = -a
+    generators: np.ndarray      # an additive generating set G, ascending
     one: int
     element_names: tuple[str, ...] | None = None
     _memo: dict = field(default_factory=dict, repr=False)
@@ -137,13 +149,14 @@ def _additive_generators(add: np.ndarray) -> list[int] | None:
 
 def validate_tables(
     add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int
-) -> list[tuple[str, tuple[int, ...]]]:
+) -> tuple[list[tuple[str, tuple[int, ...]]], list[int] | None]:
     """Check every ring/involution axiom over all element tuples.
 
-    Returns one ``(axiom, witness)`` pair per violated axiom, with the
-    lexicographically first witness. The four triple axioms are proved on
-    an additive generating set G (``_additive_generators``, |G| <= log2 n),
-    so an accepted table costs O(|G|·n^2):
+    Returns ``(violations, G)``: one ``(axiom, witness)`` pair per violated
+    axiom, with the lexicographically first witness, and the additive
+    generating set G of ``_additive_generators`` (|G| <= log2 n; None when
+    none is found). The four triple axioms are proved on G, so an accepted
+    table costs O(|G|·n^2):
 
     - add-associative (Light's test): the elements ``a`` with
       ``(x+a)+y = x+(a+y)`` for all x, y are closed under +, so testing
@@ -239,7 +252,7 @@ def validate_tables(
     w = _first(star[star] != idx)
     if w:
         bad.append(("star-involutive", w))
-    return bad
+    return bad, gens
 
 
 def _make_ring(
@@ -262,12 +275,14 @@ def _make_ring(
     one = int(one)
     if not 0 <= one < n:
         raise RingSpecError(f"{label}: one={one} out of range")
-    violations = validate_tables(add, mul, star, one)
+    violations, gens = validate_tables(add, mul, star, one)
     if violations:
         raise TableValidationError(violations)
     neg = np.argmax(add == 0, axis=1).astype(_DT)
+    gens = np.array(gens, dtype=np.intp)
     return StarRing(
-        label, n, _frozen(add), _frozen(mul), _frozen(star), _frozen(neg), one, names
+        label, n, _frozen(add), _frozen(mul), _frozen(star), _frozen(neg), _frozen(gens),
+        one, names,
     )
 
 

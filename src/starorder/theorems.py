@@ -9,7 +9,7 @@ import numpy as np
 from . import analysis, order
 from .analysis import CheckResult, PASS, _fail, classify
 from .errors import RingSpecError
-from .rings import DEFAULT_ORDER_CAP, RingSpec, StarRing, realize
+from .rings import DEFAULT_ORDER_CAP, RingSpec, StarRing, _row_blocks, realize
 
 SKIP_NOT_PQ = "not-p.q.-baer-star"
 SKIP_TWO = "two-not-invertible"
@@ -171,35 +171,37 @@ def _check_cub_characterization(ring: StarRing) -> CheckResult:
 
 def _check_cub_star_identities(ring: StarRing) -> CheckResult:
     """For pairs with a common upper bound: a*rb = C(a)b*rb = C(b)a*ra and
-    arb* = C(a)brb* = C(b)ara* for every r; a*b and ab* are self-adjoint."""
+    arb* = C(a)brb* = C(b)ara* for every r; a*b and ab* are self-adjoint.
+
+    Each side of the four r-equations is additive in r, so the r where an
+    equation holds form a subgroup of (R, +): r ranges over the additive
+    generating set G only, in O(|G|·n^2) rather than O(n^3)."""
     M = ring.multiplication
     inv = ring.involution
+    G = ring.generators
     covers = analysis.cover_ids(ring)
     cub = order.cub_matrix(ring)
     n = ring.order
     idx = np.arange(n)
-    Mc = M[covers]  # Mc[b] = row of C(b)·
-    brb = M[M[inv].T, idx[None, :]]       # b*·r·b at [r, b]
-    brbs = M[M.T, inv[None, :]]           # b·r·b*
-    for a in range(n):
-        if not cub[a].any():
-            continue
-        as_ = int(inv[a])
-        ca_row = M[int(covers[a])]
-        T = M[M[as_]]                     # a*·r·b at [r, b]
-        eq1 = T == ca_row[brb]
-        eq2 = T == Mc[:, T[:, a]].T       # C(b)·(a*·r·a)
-        U = M[M[a]]                       # a·r·b
-        arbs = U[:, inv]                  # a·r·b*
-        eq3 = arbs == ca_row[brbs]
-        aras = U[:, as_]                  # a·r·a*
-        eq4 = arbs == Mc[:, aras].T       # C(b)·(a·r·a*)
-        ok = (eq1 & eq2 & eq3 & eq4).all(axis=0)
-        ok &= inv[M[as_]] == M[as_]       # (a*·b)* = a*·b
-        ok &= inv[M[a][inv]] == M[a][inv]  # (a·b*)* = a·b*
-        bad = np.flatnonzero(cub[a] & ~ok)
-        if bad.size:
-            return _fail((a, bad[0]))
+    brb = M[M[inv][:, G].T, idx]           # b*·g·b at [g, b]
+    brbs = M[M[:, G].T, inv]               # b·g·b*
+    for blk in _row_blocks(n, G.size * n):
+        a, as_ = idx[blk], inv[blk]
+        i = np.arange(a.size)
+        ca = M[covers[blk]]                           # C(a)·x at [a, x]
+        T = M[M[as_][:, G]]                           # a*·g·b at [a, g, b]
+        arbs = M[M[a][:, G]][:, :, inv]               # a·g·b*
+        eq1 = T == ca[i[:, None, None], brb]          # C(a)·(b*·g·b)
+        eq2 = T == M[covers, T[i, :, a][:, :, None]]  # C(b)·(a*·g·a)
+        eq3 = arbs == ca[i[:, None, None], brbs]      # C(a)·(b·g·b*)
+        eq4 = arbs == M[covers, arbs[i, :, a][:, :, None]]  # C(b)·(a·g·a*)
+        ok = (eq1 & eq2 & eq3 & eq4).all(axis=1)
+        asb, absr = M[as_], M[a][:, inv]              # a*·b and a·b* at [a, b]
+        ok &= (inv[asb] == asb) & (inv[absr] == absr)
+        hits = np.argwhere(cub[blk] & ~ok)
+        if hits.size:
+            k, b = hits[0]
+            return _fail((a[k], b))
     return PASS
 
 

@@ -18,3 +18,9 @@ def curated_rings(limit: int = 30) -> list:
     rings.append(so.build_matrix(so.build_modular(2), 2))
     rings.append(so.build_matrix(so.build_modular(3), 2))
     return rings
+
+
+def fresh(ring):
+    """A copy of ``ring`` with an empty memo, safe to write perturbed
+    derived tables into."""
+    return so.build_from_tables(so.ring_to_table_spec(ring))

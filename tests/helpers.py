@@ -338,3 +338,61 @@ def oracle_classification(t):
         witnesses["pq_baer_star"] = (generators.index(None),)
         return witnesses, None
     return witnesses, tuple(generators)
+
+
+def _product(mul, *xs):
+    v = xs[0]
+    for x in xs[1:]:
+        v = mul[v][x]
+    return v
+
+
+def oracle_cub_star_identities(t, covers):
+    """The first pair (a, b), row-major, with a common upper bound at which
+    a*rb = C(a)b*rb = C(b)a*ra or arb* = C(a)brb* = C(b)ara* fails for
+    some r, or a*b or ab* is not self-adjoint; None if no pair fails.
+    ``covers[x]`` is taken as C(x)."""
+    add, mul, star, one = t
+    n = len(add)
+    pairs = oracle_leq_pairs(t)
+    for a in range(n):
+        for b in range(n):
+            if not any((a, c) in pairs and (b, c) in pairs for c in range(n)):
+                continue
+            sa, sb, ca, cb = star[a], star[b], covers[a], covers[b]
+            holds = star[mul[sa][b]] == mul[sa][b] and star[mul[a][sb]] == mul[a][sb]
+            for r in range(n):
+                holds = holds and (
+                    _product(mul, sa, r, b)
+                    == _product(mul, ca, sb, r, b)
+                    == _product(mul, cb, sa, r, a)
+                )
+                holds = holds and (
+                    _product(mul, a, r, sb)
+                    == _product(mul, ca, b, r, sb)
+                    == _product(mul, cb, a, r, sa)
+                )
+            if not holds:
+                return a, b
+    return None
+
+
+def oracle_cancellation(t, ortho):
+    """The first triple (x, y, z), row-major, with x ⊥ y, x ⊥ z, a least
+    upper bound x∨z, y <= x∨z and not y <= z; None if no triple fails.
+    ``ortho`` is the set of pairs taken as orthogonal."""
+    n = len(t[0])
+    elems = range(n)
+    pairs = oracle_leq_pairs(t)
+    joins = {(x, z): oracle_lub(pairs, elems, x, z) for x, z in ortho}
+    for x in elems:
+        for y in elems:
+            if (x, y) not in ortho:
+                continue
+            for z in elems:
+                if (x, z) not in ortho or (y, z) in pairs:
+                    continue
+                j = joins[x, z]
+                if j is not None and (y, j) in pairs:
+                    return x, y, z
+    return None

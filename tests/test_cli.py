@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from starorder import theorems
-from starorder.cli import main
+from starorder.cli import EXIT_BROKEN_PIPE, main
 from starorder.errors import VerificationError
 
 Z6 = '{"type":"modular","n":6}'
@@ -306,3 +307,24 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["label"] == "Z6"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_closing_early_is_not_a_failed_check(unbuffered):
+    # The read end closes before the child has imported numpy, so its output
+    # meets a broken pipe: at the first write when stdout is unbuffered, at
+    # the final flush when it is buffered.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starorder", "classify", Z6],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE != 1
+    assert err == b""

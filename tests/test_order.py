@@ -1,10 +1,14 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import starorder as so
+from corpus import fresh
+from starorder import analysis, order, rings
+from starorder.fuzz import _random_table_candidate
 from helpers import (
     oracle_cover,
     oracle_covering_edges,
@@ -102,6 +106,53 @@ class TestBuildOrder:
         d = so.build_order(z6).to_json_dict()
         assert list(d) == ["label", "order", "leq", "diagnostics", "cub", "covers"]
         assert d["diagnostics"]["antisymmetric"]["holds"] is True
+
+
+def assert_tables_match_exhaustive(r):
+    """leq_matrix, star_leq_matrix and zero_product_matrix let r range over
+    the additive generating set G; the single-pair forms scan every r. The
+    tables are built at the default block size and in blocks of one row and
+    of a few rows."""
+    want = [
+        [[f(r, a, b) for b in r.elements()] for a in r.elements()]
+        for f in (so.leq_bruteforce, so.leq_star_bruteforce, so.orthogonal)
+    ]
+    for block in (rings._BLOCK, 1, 50):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "_BLOCK", block)
+            s = fresh(r)
+            got = (order.leq_matrix(s), order.star_leq_matrix(s), analysis.zero_product_matrix(s))
+        assert [g.tolist() for g in got] == want, (r.label, block)
+
+
+class TestGeneratorRestriction:
+    def test_generators_span_the_additive_group(self, m2z2, t2z2, z2xz3, z15):
+        for r in (m2z2, t2z2, z2xz3, z15, so.build_modular(1)):
+            G = r.generators
+            assert G.dtype == np.intp and not G.flags.writeable
+            assert 2 ** G.size <= r.order
+            reached = {0}
+            while True:
+                more = {r.add(x, int(g)) for x in reached for g in G} - reached
+                if not more:
+                    break
+                reached |= more
+            assert reached == set(r.elements()), r.label
+
+    def test_tables_match_exhaustive(self, m2z2, t2z2, swap_ring, z4, z2xz3):
+        # Noncommutative carriers, rings that are not p.q.-Baer *, and the
+        # zero ring, whose G is empty.
+        for r in (m2z2, t2z2, swap_ring, z4, z2xz3, so.build_modular(1)):
+            assert_tables_match_exhaustive(r)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_tables_match_exhaustive(self, seed):
+        candidate = _random_table_candidate(random.Random(seed), 8)
+        try:
+            ring = so.build_from_tables(candidate)
+        except so.TableValidationError:
+            assume(False)
+        assert_tables_match_exhaustive(ring)
 
 
 class TestCub:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 import starorder as so
-from helpers import oracle_orthogonal, oracle_segment, ring_tables
+from corpus import fresh
+from helpers import oracle_cancellation, oracle_orthogonal, oracle_segment, ring_tables
+from starorder import analysis
 
 
 class TestOrthogonal:
@@ -88,6 +92,28 @@ class TestQuasiOrthomodular:
     def test_non_pq_rejected(self, z4):
         with pytest.raises(so.PreconditionError):
             so.quasi_orthomodular_check(z4)
+
+    def test_cancellation_matches_oracle(self, curated_pq):
+        # With the true orthogonality, and with random pairs of it flipped in
+        # the memo so that cancellation fails: verdict and first witness.
+        rng = random.Random(6)
+        failed = 0
+        for r in [s for s in curated_pq if s.order <= 30]:
+            t = ring_tables(r)
+            n = r.order
+            ortho = {(a, b) for a in range(n) for b in range(n) if oracle_orthogonal(t, a, b)}
+            assert so.cancellation_check(r).witness == oracle_cancellation(t, ortho)
+            s = fresh(r)
+            so.classify(s)  # the p.q.-Baer * gate reads the true relation
+            Z = analysis.zero_product_matrix(s).copy()
+            flips = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, n))}
+            for a, b in flips:
+                Z[a, b] = not Z[a, b]
+            s._memo["zero_product_matrix"] = Z
+            want = oracle_cancellation(t, ortho ^ flips)
+            assert so.cancellation_check(s).witness == want, (r.label, flips)
+            failed += want is not None
+        assert failed
 
 
 class TestInitialSegments:
