@@ -15,9 +15,8 @@ from .rings import (
     ProductSpec,
     RingSpec,
     TableSpec,
+    _cyclic_product_tables,
     _mixed_radix_weights,
-    build_modular,
-    build_product,
     realize,
     spec_to_json,
 )
@@ -136,14 +135,13 @@ def _random_factorization(rng: random.Random, n: int) -> list[int]:
 
 def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
     """One candidate table: a relabeled cyclic product with a factor-swap
-    involution, occasionally corrupted so that validation has work to do."""
+    involution, occasionally corrupted so that validation has work to do.
+    The base tables are not validated here: ``realize`` validates the
+    candidate, once."""
     n = rng.randint(1, min(RANDOM_TABLE_MAX_ORDER, max_order))
     factors = _random_factorization(rng, n)
-    base = build_product([build_modular(f) for f in factors])
-
-    add = np.array(base.addition)
-    mul = np.array(base.multiplication)
-    star = np.array(base.involution)
+    add, mul, one = _cyclic_product_tables(factors)
+    star = np.arange(n)
 
     # Involution: swap one pair of equal factors (an order-2 automorphism).
     swaps = [
@@ -172,7 +170,7 @@ def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
     add = perm[add[inv_perm][:, inv_perm]]
     mul = perm[mul[inv_perm][:, inv_perm]]
     star = perm[star[inv_perm]]
-    one = int(perm[base.one])
+    one = int(perm[one])
 
     if rng.random() < 0.25:
         target = rng.choice(("add", "mul", "star"))

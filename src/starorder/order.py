@@ -24,7 +24,7 @@ from .analysis import (
     zero_product_matrix,
 )
 from .errors import PreconditionError, VerificationError
-from .rings import StarRing, _frozen, _row_blocks
+from .rings import StarRing, _first, _frozen, _row_blocks
 
 
 def leq_bruteforce(ring: StarRing, a: int, b: int) -> bool:
@@ -163,16 +163,11 @@ class OrderStructure:
 
 def _diagnose(leq: np.ndarray) -> OrderDiagnostics:
     n = leq.shape[0]
-    eye = np.eye(n, dtype=bool)
+    w = _first(~leq[np.arange(n), np.arange(n)])
+    reflexive = AxiomCheck(w is None, w)
 
-    refl_bad = np.flatnonzero(~leq[np.arange(n), np.arange(n)])
-    reflexive = AxiomCheck(refl_bad.size == 0, (int(refl_bad[0]),) if refl_bad.size else None)
-
-    anti = leq & leq.T & ~eye
-    hits = np.argwhere(anti)
-    antisymmetric = AxiomCheck(
-        hits.size == 0, tuple(int(v) for v in hits[0]) if hits.size else None
-    )
+    w = _first(leq & leq.T & ~np.eye(n, dtype=bool))
+    antisymmetric = AxiomCheck(w is None, w)
 
     reach = _bool_product(leq, leq)
     viol = reach & ~leq
@@ -241,8 +236,8 @@ def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
     ub = np.flatnonzero(leq[a] & leq[b])
     if not ub.size:
         return None
-    hits = np.flatnonzero(leq[np.ix_(ub, ub)].all(axis=1))
-    return int(ub[hits[0]]) if hits.size else None
+    w = _first(leq[np.ix_(ub, ub)].all(axis=1))
+    return int(ub[w[0]]) if w else None
 
 
 def pair_tables(ring: StarRing) -> PairTables:
@@ -315,15 +310,15 @@ def is_lattice(ring: StarRing) -> CheckResult:
     """Lattice criterion: a·C(b) = b·C(a) for all pairs."""
     covers = cover_ids(ring)
     ac = ring.multiplication[:, covers]
-    hits = np.argwhere(ac != ac.T)
-    return _fail(hits[0]) if hits.size else PASS
+    w = _first(ac != ac.T)
+    return _fail(w) if w else PASS
 
 
 def is_pseudo_lattice(ring: StarRing) -> CheckResult:
     """Every pair with a common upper bound has a verified meet and join."""
     pt = pair_tables(ring)
-    hits = np.argwhere(pt.cub & ~(pt.meet_ok & pt.join_ok))
-    return _fail(hits[0]) if hits.size else PASS
+    w = _first(pt.cub & ~(pt.meet_ok & pt.join_ok))
+    return _fail(w) if w else PASS
 
 
 def subtractivity_check(ring: StarRing) -> tuple[CheckResult, CheckResult | None]:
@@ -339,12 +334,12 @@ def subtractivity_check(ring: StarRing) -> tuple[CheckResult, CheckResult | None
     cov_diff = covers[S.T]                      # C(b-a) at [a, b]
     rhs = S[covers[None, :], covers[:, None]]   # C(b)-C(a) at [a, b]
     eq = cov_diff == rhs
-    hits = np.argwhere(leq & ~eq)
-    forward = _fail(hits[0]) if hits.size else PASS
+    w = _first(leq & ~eq)
+    forward = _fail(w) if w else PASS
     if not report.is_two_invertible:
         return forward, None
-    hits = np.argwhere(eq != leq)
-    bicond = _fail(hits[0]) if hits.size else PASS
+    w = _first(eq != leq)
+    bicond = _fail(w) if w else PASS
     return forward, bicond
 
 
@@ -361,14 +356,13 @@ def orthogonality_axioms(ring: StarRing) -> CheckResult:
     Z = zero_product_matrix(ring)
     leq = leq_matrix(ring)
     n = ring.order
-    hits = np.argwhere(Z != Z.T)
-    if hits.size:
-        return _fail(hits[0], "symmetry")
+    w = _first(Z != Z.T)
+    if w:
+        return _fail(w, "symmetry")
     for x in range(n):
-        viol = leq[x][:, None] & Z & ~Z[x][None, :]  # [y, z]
-        if viol.any():
-            y, z = np.argwhere(viol)[0]
-            return _fail((x, y, z), "descends")
+        w = _first(leq[x][:, None] & Z & ~Z[x][None, :])  # [y, z]
+        if w:
+            return _fail((x, *w), "descends")
     bad = np.flatnonzero(~Z[0])
     if bad.size:
         return _fail((0, int(bad[0])), "zero-orthogonal")
@@ -381,8 +375,8 @@ def ortho_join_check(ring: StarRing) -> CheckResult:
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
-    hits = np.argwhere(Z & ~good)
-    return _fail(hits[0]) if hits.size else PASS
+    w = _first(Z & ~good)
+    return _fail(w) if w else PASS
 
 
 def orthomodular_decomposition(ring: StarRing, a: int, b: int) -> int:
@@ -414,10 +408,9 @@ def cancellation_check(ring: StarRing) -> CheckResult:
         # index arrays ascend, so the row-major first hit is the first triple.
         ys = np.flatnonzero(Z[x])
         zs = np.flatnonzero(Z[x] & pt.cub[x] & pt.join_ok[x])
-        viol = leq[ys[:, None], pt.join[x, zs]] & ~leq[ys[:, None], zs]  # [y, z]
-        if viol.any():
-            i, j = np.argwhere(viol)[0]
-            return _fail((x, ys[i], zs[j]), "cancellation")
+        w = _first(leq[ys[:, None], pt.join[x, zs]] & ~leq[ys[:, None], zs])  # [y, z]
+        if w:
+            return _fail((x, ys[w[0]], zs[w[1]]), "cancellation")
     return PASS
 
 
@@ -429,17 +422,17 @@ def quasi_orthomodular_check(ring: StarRing) -> CheckResult:
     leq = leq_matrix(ring)
     n = ring.order
 
-    hits = np.argwhere(Z & ~(pt.cub & pt.join_ok))
-    if hits.size:
-        return _fail(hits[0], "join-exists")
+    w = _first(Z & ~(pt.cub & pt.join_ok))
+    if w:
+        return _fail(w, "join-exists")
 
     # Every orthogonal pair has a join now. reached[x, y]: y = x∨z, z ⊥ x.
     reached = np.zeros((n, n), dtype=bool)
     x, z = np.nonzero(Z)
     reached[x, pt.join[x, z]] = True
-    hits = np.argwhere(leq & ~reached)
-    if hits.size:
-        return _fail(hits[0], "decomposition")
+    w = _first(leq & ~reached)
+    if w:
+        return _fail(w, "decomposition")
     return cancellation_check(ring)
 
 
@@ -546,12 +539,10 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
             orthoc = False
             witness = wit("complement-involution", (elems[bad[0]],))
     if orthoc:
-        anti = L & ~L[comp][:, comp].T  # i <= j but not comp(j) <= comp(i)
-        hits = np.argwhere(anti)
-        if hits.size:
-            i, j = hits[0]
+        w = _first(L & ~L[comp][:, comp].T)  # i <= j but not comp(j) <= comp(i)
+        if w:
             orthoc = False
-            witness = wit("complement-antitone", (elems[i], elems[j]))
+            witness = wit("complement-antitone", elems[list(w)])
 
     # Orthomodularity over the segment orthogonality a ⊥ b iff a <= b',
     # which is symmetric once the complement is an antitone involution.
@@ -567,19 +558,16 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     if orthom:
         reached = np.zeros((s, s), dtype=bool)  # [i, b]: b = i∨c for some c ⊥ i
         reached[i, lub] = True
-        hits = np.argwhere(L & ~reached)
-        if hits.size:
+        w = _first(L & ~reached)
+        if w:
             orthom = False
-            witness = wit("orthomodular-decomposition", elems[hits[0]])
+            witness = wit("orthomodular-decomposition", elems[list(w)])
 
     # Locality: segment orthogonality coincides with ring orthogonality.
-    local_mat = L[:, comp]
-    ring_mat = Z[np.ix_(elems, elems)]
-    hits = np.argwhere(local_mat != ring_mat)
-    locality = hits.size == 0
+    w = _first(L[:, comp] != Z[np.ix_(elems, elems)])
+    locality = w is None
     if not locality and witness is None:
-        i, j = hits[0]
-        witness = wit("segment-locality", (elems[i], elems[j]))
+        witness = wit("segment-locality", elems[list(w)])
 
     return make(orthoc, orthom, locality, witness)
 
@@ -604,11 +592,9 @@ def problem2_check(ring: StarRing, include_left: bool = False) -> CheckResult:
 
     hyp = disjoint("right") & disjoint("left") if include_left else disjoint("right")
     for a in range(n):
-        viol = leq[a][None, :] & leq & ~leq[A[a]]  # [b, c]
-        viol &= hyp[a][:, None]
-        if viol.any():
-            b, c = np.argwhere(viol)[0]
-            return _fail((a, b, c))
+        w = _first(leq[a][None, :] & leq & ~leq[A[a]] & hyp[a][:, None])  # [b, c]
+        if w:
+            return _fail((a, *w))
     return PASS
 
 

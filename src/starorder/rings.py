@@ -110,10 +110,11 @@ class StarRing:
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    hits = np.argwhere(mask)
-    if hits.size == 0:
+    """The row-major first True position of ``mask``, or None. Most masks
+    scanned for a witness are all False, and ``any`` settles those cheaply."""
+    if not mask.any():
         return None
-    return tuple(int(v) for v in hits[0])
+    return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
 def _additive_generators(add: np.ndarray) -> list[int] | None:
@@ -180,10 +181,9 @@ def validate_tables(
     def first_triple(fail):
         # fail(x) is an (n, n) mismatch mask over (y, z); scan x ascending.
         for x in range(n):
-            m = fail(x)
-            if m.any():
-                y, z = np.argwhere(m)[0]
-                return (x, int(y), int(z))
+            w = _first(fail(x))
+            if w:
+                return (x, *w)
         return None
 
     def proved_or_scanned(gs, fail_at, fail):
@@ -293,10 +293,8 @@ def build_modular(n: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
         raise RingSpecError(f"modular order must be >= 1, got {n}")
     if n > cap:
         raise OrderCapError(f"Z{n} exceeds the order cap {cap}")
-    i = np.arange(n, dtype=np.int64)
-    add = (i[:, None] + i[None, :]) % n
-    mul = (i[:, None] * i[None, :]) % n
-    return _make_ring(f"Z{n}", add, mul, i, 1 % n)
+    add, mul, one = _cyclic_product_tables([n])
+    return _make_ring(f"Z{n}", add, mul, np.arange(n), one)
 
 
 def _mixed_radix_weights(orders: Sequence[int]) -> list[int]:
@@ -304,6 +302,20 @@ def _mixed_radix_weights(orders: Sequence[int]) -> list[int]:
     for i in range(len(orders) - 2, -1, -1):
         w[i] = w[i + 1] * orders[i + 1]
     return w
+
+
+def _cyclic_product_tables(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(add, mul, one)`` of Z_o1 x ... x Z_ok, unvalidated, indexed as
+    ``build_product`` indexes the product of the ``build_modular`` parts."""
+    w = _mixed_radix_weights(orders)
+    ar = np.arange(w[0] * orders[0], dtype=np.int64)
+    add = np.zeros((ar.size, ar.size), dtype=np.int64)
+    mul = np.zeros_like(add)
+    for o, wt in zip(orders, w):
+        d = (ar // wt) % o
+        add += (d[:, None] + d[None, :]) % o * wt
+        mul += (d[:, None] * d[None, :]) % o * wt
+    return add, mul, sum(1 % o * wt for o, wt in zip(orders, w))
 
 
 def build_product(

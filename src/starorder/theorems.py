@@ -9,7 +9,7 @@ import numpy as np
 from . import analysis, order
 from .analysis import CheckResult, PASS, _fail, classify
 from .errors import RingSpecError
-from .rings import DEFAULT_ORDER_CAP, RingSpec, StarRing, _row_blocks, realize
+from .rings import DEFAULT_ORDER_CAP, RingSpec, StarRing, _first, _row_blocks, realize
 
 SKIP_NOT_PQ = "not-p.q.-baer-star"
 SKIP_TWO = "two-not-invertible"
@@ -68,10 +68,9 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
         return _fail((cps[bad[0]],), "cover-of-central-projection")
 
     Mc = M[cps]  # e·x at [e, x]
-    hits = np.argwhere(covers[Mc] != Mc[:, covers])
-    if hits.size:
-        i, x = hits[0]
-        return _fail((cps[i], x), "cover-scaling")
+    w = _first(covers[Mc] != Mc[:, covers])
+    if w:
+        return _fail((cps[w[0]], w[1]), "cover-scaling")
 
     diff = np.flatnonzero(covers[ring.involution] != covers)
     if diff.size:
@@ -79,18 +78,15 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
 
     leq_cp = order.leq_matrix(ring)[np.ix_(cps, cps)]
     ef = M[np.ix_(cps, cps)] == cps[:, None]
-    hits = np.argwhere(leq_cp != ef)
-    if hits.size:
-        i, j = hits[0]
-        return _fail((cps[i], cps[j]), "central-projection-order")
-    hits = np.argwhere(ef & ef.T & ~np.eye(cps.size, dtype=bool))
-    if hits.size:
-        i, j = hits[0]
-        return _fail((cps[i], cps[j]), "central-projection-antisymmetry")
-    hits = np.argwhere(order._bool_product(ef, ef) & ~ef)
-    if hits.size:
-        i, j = hits[0]
-        return _fail((cps[i], cps[j]), "central-projection-transitivity")
+    w = _first(leq_cp != ef)
+    if w:
+        return _fail(cps[list(w)], "central-projection-order")
+    w = _first(ef & ef.T & ~np.eye(cps.size, dtype=bool))
+    if w:
+        return _fail(cps[list(w)], "central-projection-antisymmetry")
+    w = _first(order._bool_product(ef, ef) & ~ef)
+    if w:
+        return _fail(cps[list(w)], "central-projection-transitivity")
     return PASS
 
 
@@ -103,10 +99,9 @@ def _check_cover_uniqueness(ring: StarRing) -> CheckResult:
     cps = analysis.central_projection_ids(ring)
     fixes = M[:, cps].T == np.arange(ring.order)        # x·e = x at [e, x]
     absorbs = ~order._bool_product(M[cps] != 0, Z.T)  # xRy = 0 implies e·y = 0
-    hits = np.argwhere(fixes & absorbs & (covers != cps[:, None]))
-    if hits.size:
-        i, x = hits[0]
-        return _fail((x, cps[i]), "cover-uniqueness")
+    w = _first(fixes & absorbs & (covers != cps[:, None]))
+    if w:
+        return _fail((w[1], cps[w[0]]), "cover-uniqueness")
     return PASS
 
 
@@ -123,12 +118,12 @@ def _check_order_equivalence(ring: StarRing) -> CheckResult:
     leq = order.leq_matrix(ring)
     star = order.star_leq_matrix(ring)
     cov = order.cover_leq_matrix(ring)
-    hits = np.argwhere(leq != star)
-    if hits.size:
-        return _fail(hits[0], "bruteforce-vs-star")
-    hits = np.argwhere(leq != cov)
-    if hits.size:
-        return _fail(hits[0], "bruteforce-vs-cover")
+    w = _first(leq != star)
+    if w:
+        return _fail(w, "bruteforce-vs-star")
+    w = _first(leq != cov)
+    if w:
+        return _fail(w, "bruteforce-vs-cover")
     return PASS
 
 
@@ -141,17 +136,17 @@ def _check_subtractivity_forward(ring: StarRing) -> CheckResult:
     leq = order.leq_matrix(ring)
     idx = np.arange(ring.order)
     cc = M[np.ix_(covers, covers)]  # C(a)·C(b) at [a, b]
-    hits = np.argwhere(leq & (cc != covers[:, None]))
-    if hits.size:
-        return _fail(hits[0], "cover-monotone")
+    w = _first(leq & (cc != covers[:, None]))
+    if w:
+        return _fail(w, "cover-monotone")
     acb = M[:, covers]              # a·C(b)
-    hits = np.argwhere(leq & (acb != idx[:, None]))
-    if hits.size:
-        return _fail(hits[0], "a-equals-a-cover-b")
+    w = _first(leq & (acb != idx[:, None]))
+    if w:
+        return _fail(w, "a-equals-a-cover-b")
     bca = acb.T                     # b·C(a) at [a, b]
-    hits = np.argwhere(leq & (bca != idx[:, None]))
-    if hits.size:
-        return _fail(hits[0], "a-equals-b-cover-a")
+    w = _first(leq & (bca != idx[:, None]))
+    if w:
+        return _fail(w, "a-equals-b-cover-a")
     return PASS
 
 
@@ -163,9 +158,9 @@ def _check_cub_characterization(ring: StarRing) -> CheckResult:
     covers = analysis.cover_ids(ring)
     ac = ring.multiplication[:, covers]
     formula = ac == ac.T
-    hits = np.argwhere(formula != order.cub_matrix(ring))
-    if hits.size:
-        return _fail(hits[0])
+    w = _first(formula != order.cub_matrix(ring))
+    if w:
+        return _fail(w)
     return PASS
 
 
@@ -198,10 +193,9 @@ def _check_cub_star_identities(ring: StarRing) -> CheckResult:
         ok = (eq1 & eq2 & eq3 & eq4).all(axis=1)
         asb, absr = M[as_], M[a][:, inv]              # a*·b and a·b* at [a, b]
         ok &= (inv[asb] == asb) & (inv[absr] == absr)
-        hits = np.argwhere(cub[blk] & ~ok)
-        if hits.size:
-            k, b = hits[0]
-            return _fail((a[k], b))
+        w = _first(cub[blk] & ~ok)
+        if w:
+            return _fail((a[w[0]], w[1]))
     return PASS
 
 
@@ -219,24 +213,24 @@ def _check_meet_join(ring: StarRing) -> CheckResult:
     n = ring.order
     idx = np.arange(n)
     ac = M[:, covers]
-    hits = np.argwhere(pt.cub & (pt.meet != ac))
-    if hits.size:
-        return _fail(hits[0], "meet-formula")
-    hits = np.argwhere(pt.cub & (pt.meet != ac.T))
-    if hits.size:
-        return _fail(hits[0], "meet-formula-symmetric")
-    hits = np.argwhere(pt.cub & (pt.join != S[A, ac]))
-    if hits.size:
-        return _fail(hits[0], "join-formula")
+    w = _first(pt.cub & (pt.meet != ac))
+    if w:
+        return _fail(w, "meet-formula")
+    w = _first(pt.cub & (pt.meet != ac.T))
+    if w:
+        return _fail(w, "meet-formula-symmetric")
+    w = _first(pt.cub & (pt.join != S[A, ac]))
+    if w:
+        return _fail(w, "join-formula")
     fvals = S[ring.one, covers]
     j2 = A[idx[:, None], M[:, fvals].T]   # a + b·(1-C(a))
-    hits = np.argwhere(pt.cub & (pt.join != j2))
-    if hits.size:
-        return _fail(hits[0], "join-corollary")
+    w = _first(pt.cub & (pt.join != j2))
+    if w:
+        return _fail(w, "join-corollary")
     j3 = A[M[:, fvals], idx[None, :]]     # a·(1-C(b)) + b
-    hits = np.argwhere(pt.cub & (pt.join != j3))
-    if hits.size:
-        return _fail(hits[0], "join-corollary-symmetric")
+    w = _first(pt.cub & (pt.join != j3))
+    if w:
+        return _fail(w, "join-corollary-symmetric")
     return PASS
 
 
@@ -249,7 +243,7 @@ def _check_lattice_characterization(ring: StarRing) -> CheckResult:
         return PASS
     if formula.passed:
         bad = ~(pt.cub & pt.meet_ok & pt.join_ok)
-        return _fail(np.argwhere(bad)[0], "formula-true-but-not-lattice")
+        return _fail(_first(bad), "formula-true-but-not-lattice")
     return CheckResult(False, formula.witness, "lattice-but-formula-false")
 
 
@@ -266,9 +260,9 @@ def _check_ortho_cover_equivalence(ring: StarRing) -> CheckResult:
     covers = analysis.cover_ids(ring)
     Z = analysis.zero_product_matrix(ring)
     cc = ring.multiplication[np.ix_(covers, covers)] == 0
-    hits = np.argwhere(Z != cc)
-    if hits.size:
-        return _fail(hits[0])
+    w = _first(Z != cc)
+    if w:
+        return _fail(w)
     return PASS
 
 
@@ -289,9 +283,9 @@ def _check_ortho_decomposition(ring: StarRing) -> CheckResult:
         & pt.join_ok[idx[:, None], C]
         & (pt.join[idx[:, None], C] == idx[None, :])
     )
-    hits = np.argwhere(leq & ~ok)
-    if hits.size:
-        return _fail(hits[0])
+    w = _first(leq & ~ok)
+    if w:
+        return _fail(w)
     return PASS
 
 

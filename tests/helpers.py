@@ -218,17 +218,26 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def oracle_segment(t, m):
+def oracle_segment(t, m, leq=None, orthogonal=None, sub=None):
     """The initial segment [0, m] as ``SegmentPoset.to_json_dict`` gives it,
     less the label. Checks run in the package's order and the first failure
     is the witness; a segment glb/lub is the first bound, in element order,
-    that lies above/below every other bound."""
+    that lies above/below every other bound.
+
+    ``leq(a, b)``, ``orthogonal(a, b)`` and the table ``sub[x][y] = x - y``
+    default to the exhaustive relations and the ring's subtraction; other
+    values check the package on relations that are not the ring's own."""
     add, mul, star, one = t
     n = len(add)
-    elems = [a for a in range(n) if oracle_leq(t, a, m)]
-    pairs = {(a, b) for a in elems for b in elems if oracle_leq(t, a, b)}
-    neg = [next(y for y in range(n) if add[x][y] == 0) for x in range(n)]
-    c = {a: add[m][neg[a]] for a in elems}
+    leq = leq or (lambda a, b: oracle_leq(t, a, b))
+    orthogonal = orthogonal or (lambda a, b: oracle_orthogonal(t, a, b))
+    elems = [a for a in range(n) if leq(a, m)]
+    pairs = {(a, b) for a in elems for b in elems if leq(a, b)}
+    if sub is None:
+        neg = [next(y for y in range(n) if add[x][y] == 0) for x in range(n)]
+        c = {a: add[m][neg[a]] for a in elems}
+    else:
+        c = {a: sub[m][a] for a in elems}
     out = {
         "top": m,
         "elements": elems,
@@ -276,7 +285,7 @@ def oracle_segment(t, m):
 
     def locality_failures():
         for a, b in product(elems, repeat=2):
-            if ((a, c[b]) in pairs) != oracle_orthogonal(t, a, b):
+            if ((a, c[b]) in pairs) != orthogonal(a, b):
                 yield "segment-locality", (a, b)
 
     failure = next(orthocomplement_failures(), None)

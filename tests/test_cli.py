@@ -14,6 +14,7 @@ Z6 = '{"type":"modular","n":6}'
 Z4 = '{"type":"modular","n":4}'
 
 GOLDEN = Path(__file__).parent / "golden" / "z6.dot"
+FUZZ_GOLDEN = Path(__file__).parent / "golden" / "fuzz_seed7.json"
 
 
 def run(capsys, *argv):
@@ -242,6 +243,17 @@ class TestFuzzCommand:
         payload = json.loads(out1)
         assert payload["rings_checked"] == 31
         assert all(f["red_alert"] is False for f in payload["failures"])
+
+    def test_golden_report(self, capsys):
+        # All four families with random tables: a change to the RNG draws,
+        # to a candidate or to a verdict changes these bytes. 56 of the 300
+        # rings fail a theorem off its hypothesis, so the exit code is 1.
+        code, out, _ = run(
+            capsys, "fuzz", "--seed", "7", "--max-order", "16",
+            "--families", "matrix,modular,product,random-table", "--budget", "300",
+        )
+        assert code == 1
+        assert out == FUZZ_GOLDEN.read_text()
 
     def test_random_table_requires_budget(self, capsys):
         code, _, err = run(capsys, "fuzz", "--families", "random-table")

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 import starorder as so
 from corpus import fresh
 from helpers import oracle_cancellation, oracle_orthogonal, oracle_segment, ring_tables
-from starorder import analysis
+from starorder import analysis, order
 
 
 class TestOrthogonal:
@@ -192,3 +193,84 @@ class TestInitialSegments:
                 got = so.initial_segment(r, m).to_json_dict()
                 del got["label"]
                 assert got == oracle_segment(t, m), (r.label, m)
+
+
+SEGMENT_AXIOMS = {
+    "complement-in-segment",
+    "complement-meet-zero",
+    "complement-join-top",
+    "complement-involution",
+    "complement-antitone",
+    "orthogonal-join-exists",
+    "orthomodular-decomposition",
+    "segment-locality",
+}
+
+
+def _segment_witnesses(ring, leq, Z, S):
+    """Write leq, Z and S into the memo of ``ring`` (a fresh copy), check
+    every segment against the oracle on the same relations, and return the
+    witness axioms met."""
+    ring._memo.update(leq_matrix=leq, zero_product_matrix=Z, sub_table=S)
+    t = ring_tables(ring)
+    met = set()
+    for m in ring.elements():
+        got = so.initial_segment(ring, m).to_json_dict()
+        del got["label"]
+        want = oracle_segment(
+            t, m, lambda a, b: bool(leq[a, b]), lambda a, b: bool(Z[a, b]), S.tolist()
+        )
+        assert got == want, (ring.label, m)
+        if got["witness"]:
+            met.add(got["witness"]["axiom"])
+    return met
+
+
+def _designed_segment(ring, m, edges, complement):
+    """Relations on ``ring`` under which [0, m] is every element, ordered by
+    0 <= x <= m and ``edges``, with ``complement`` as row m of the
+    subtraction table and the segment orthogonality as Z."""
+    n = ring.order
+    leq = np.eye(n, dtype=bool)
+    leq[0] = leq[:, m] = True
+    for x, y in edges:
+        leq[x, y] = True
+    S = np.array(ring.sub_table())
+    S[m] = complement
+    return leq, leq[:, S[m]], S
+
+
+def test_every_segment_witness_matches_oracle_on_perturbed_relations():
+    # No ring's own relations reach most witness branches, so the segment
+    # code runs on relations written into the memo instead.
+    met = set()
+    # M3 with a cyclic complement 1 -> 2 -> 3 -> 1: a complement, but no
+    # involution.
+    z5 = fresh(so.build_modular(5))
+    met |= _segment_witnesses(z5, *_designed_segment(z5, 4, [], [4, 2, 3, 1, 0]))
+    # Atoms 1-4 with complements 5-8, x <= y + 4 iff x, y are adjacent in
+    # 1-2, 1-3, 1-4, 2-3, 2-4: an orthocomplemented poset in which the
+    # orthogonal pair 1, 2 has the two minimal upper bounds 7 and 8.
+    z10 = fresh(so.build_modular(10))
+    adjacent = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+    edges = [(x, y + 4) for a, b in adjacent for x, y in ((a, b), (b, a))]
+    met |= _segment_witnesses(
+        z10, *_designed_segment(z10, 9, edges, [9, 5, 6, 7, 8, 1, 2, 3, 4, 0])
+    )
+    # One flipped or rewritten entry in each of leq, Z and S.
+    carriers = [so.build_modular(n) for n in (4, 6, 8, 9, 10, 12)]
+    carriers.append(so.build_matrix(so.build_modular(2), 2))
+    rng = random.Random(0)
+    for trial in range(200):
+        if met == SEGMENT_AXIOMS:
+            break
+        src = carriers[trial % len(carriers)]
+        n = src.order
+        leq = np.array(order.leq_matrix(src))
+        Z = np.array(analysis.zero_product_matrix(src))
+        S = np.array(src.sub_table())
+        leq[rng.randrange(n), rng.randrange(n)] ^= True
+        Z[rng.randrange(n), rng.randrange(n)] ^= True
+        S[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        met |= _segment_witnesses(fresh(src), leq, Z, S)
+    assert met == SEGMENT_AXIOMS

@@ -1,8 +1,13 @@
+import importlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import starorder as so
+from starorder import rings
 from helpers import (
     mat2_index,
     mat2_tables,
@@ -11,7 +16,9 @@ from helpers import (
     ring_tables,
     zn_tables,
 )
-from starorder.rings import validate_tables
+from starorder.rings import _first, validate_tables
+
+fuzz = importlib.import_module("starorder.fuzz")  # the package's ``fuzz`` is the function
 
 
 class TestModular:
@@ -318,3 +325,65 @@ def test_validate_tables_matches_exhaustive_oracle(t):
 
 def _t(rows):
     return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6)))
+@example(np.zeros((3, 4), dtype=bool))
+@example(np.ones((3, 4), dtype=bool))
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+def test_first_is_the_first_argwhere_hit(mask):
+    for m in (mask, mask.T):  # the transpose is a non-contiguous view
+        hits = np.argwhere(m)
+        assert _first(m) == (tuple(int(v) for v in hits[0]) if hits.size else None)
+
+
+def _factor_lists(n: int) -> list[list[int]]:
+    """Every list ``fuzz._random_factorization`` can return for n: each
+    ordered factorization into factors >= 2, or [1] for n = 1."""
+    if n == 1:
+        return [[1]]
+    return [
+        [d, *rest]
+        for d in range(2, n + 1)
+        if n % d == 0
+        for rest in ([[]] if d == n else _factor_lists(n // d))
+    ]
+
+
+class TestRandomCandidates:
+    @pytest.mark.parametrize("n", range(1, fuzz.RANDOM_TABLE_MAX_ORDER + 1))
+    def test_unvalidated_base_matches_validated_product(self, n):
+        for factors in _factor_lists(n):
+            add, mul, one = rings._cyclic_product_tables(factors)
+            ring = so.build_product([so.build_modular(f) for f in factors])
+            assert np.array_equal(add, ring.addition), factors
+            assert np.array_equal(mul, ring.multiplication), factors
+            assert np.array_equal(ring.involution, np.arange(n)), factors
+            assert one == ring.one, factors
+
+    def test_factor_lists_cover_the_draws(self):
+        rng = random.Random(0)
+        for n in range(1, fuzz.RANDOM_TABLE_MAX_ORDER + 1):
+            for _ in range(50):
+                assert fuzz._random_factorization(rng, n) in _factor_lists(n)
+
+    def test_each_candidate_validated_once(self, monkeypatch):
+        calls = {"candidate": 0, "validate": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            fuzz, "_random_table_candidate", counted("candidate", fuzz._random_table_candidate)
+        )
+        monkeypatch.setattr(rings, "validate_tables", counted("validate", rings.validate_tables))
+        config = fuzz.FuzzConfig(8, ("random-table",), 3, 60)
+        report = fuzz.fuzz(config)
+        assert report.rings_checked == 60
+        assert calls["candidate"] > 60  # some candidates were corrupted and rejected
+        assert calls["validate"] == calls["candidate"]
