@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .rings import StarRing, _frozen, _row_blocks
+from .rings import StarRing, _first, _first_rows, _frozen, _row_blocks
 
 FLAG_NAMES = (
     "semiprime",
@@ -282,25 +282,21 @@ def classify(ring: StarRing) -> ClassificationReport:
         witnesses: dict = {}
         zp = zero_product_matrix(ring)
 
-        bad = np.flatnonzero(np.diagonal(zp)[1:])  # a ≠ 0 with aRa = 0
-        semiprime = bad.size == 0
+        w = _first(np.diagonal(zp) & (idx != 0))  # a ≠ 0 with aRa = 0
+        semiprime = w is None
         if not semiprime:
-            witnesses["semiprime"] = (int(bad[0]) + 1,)
+            witnesses["semiprime"] = w
 
-        squares = M[idx, idx]
-        nil = np.flatnonzero((squares == 0) & (idx != 0))
-        reduced = nil.size == 0
+        w = _first((M[idx, idx] == 0) & (idx != 0))
+        reduced = w is None
         if not reduced:
-            witnesses["reduced"] = (int(nil[0]),)
+            witnesses["reduced"] = w
 
-        abelian = True
-        noncentral = idempotent_mask(ring) & ~center_mask(ring)
-        bad = np.flatnonzero(noncentral)
-        if bad.size:
-            e = int(bad[0])
-            x = int(np.flatnonzero(M[e] != M[:, e])[0])
-            abelian = False
-            witnesses["abelian"] = (e, x)
+        w = _first(idempotent_mask(ring) & ~center_mask(ring))
+        abelian = w is None
+        if not abelian:
+            e = w[0]
+            witnesses["abelian"] = (e, *_first(M[e] != M[:, e]))
 
         # Row a of M == 0 is r(a); row a of zp is r(aR).
         lookup = _proj_ideal_masks(ring, "right")
@@ -380,20 +376,19 @@ def verify_annihilator_identity(ring: StarRing) -> CheckResult:
     Z = zero_product_matrix(ring)
     covers = cover_ids(ring)
     f = ring.sub_table()[ring.one, covers]  # 1 - C(x)
-    fR = _ideal_masks(ring, f, "right")
-    Rf = _ideal_masks(ring, f, "left")
-    for x in range(ring.order):
-        e = int(covers[x])
-        base = Z[x]
-        for other, tag in (
-            (Z[e], "r(eR)"),
-            (Z[:, x], "l(Rx)"),
-            (Z[:, e], "l(Re)"),
-            (fR[x], "(1-e)R"),
-            (Rf[x], "R(1-e)"),
-            (M[e] == 0, "ey=0"),
-        ):
-            diff = np.flatnonzero(base != other)
-            if diff.size:
-                return _fail((x, int(diff[0])), f"r(xR) != {tag}")
-    return PASS
+    tags = ("r(eR)", "l(Rx)", "l(Re)", "(1-e)R", "R(1-e)", "ey=0")
+
+    def differs(xs):  # [x, tag, y]: r(xR) and the tagged set disagree at y
+        es = covers[xs]
+        others = (
+            Z[es],
+            Z[:, xs].T,
+            Z[:, es].T,
+            _ideal_masks(ring, f[xs], "right"),
+            _ideal_masks(ring, f[xs], "left"),
+            M[es] == 0,
+        )
+        return np.stack(others, axis=1) != Z[xs][:, None, :]
+
+    w = _first_rows(ring.order, len(tags) * ring.order, differs)
+    return _fail((w[0], w[2]), f"r(xR) != {tags[w[1]]}") if w else PASS

@@ -203,8 +203,14 @@ def _cmd_hasse(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # Usage errors exit 2 with one JSON line; subcommand parsers share the class.
+    def error(self, message):
+        raise _InputError("usage", message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starorder",
         description="Finite *-ring toolkit: classification, Conrad order, "
         "orthomodularity checks, theorem verification.",
@@ -249,8 +255,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -140,7 +140,7 @@ def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
     candidate, once."""
     n = rng.randint(1, min(RANDOM_TABLE_MAX_ORDER, max_order))
     factors = _random_factorization(rng, n)
-    add, mul, one = _cyclic_product_tables(factors)
+    add, mul, one, digits = _cyclic_product_tables(factors)
     star = np.arange(n)
 
     # Involution: swap one pair of equal factors (an order-2 automorphism).
@@ -152,13 +152,9 @@ def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
     ]
     if swaps and rng.random() < 0.5:
         i, j = rng.choice(swaps)
-        weights = _mixed_radix_weights(factors)
-        perm = np.zeros(n, dtype=np.int64)
-        for x in range(n):
-            digits = [(x // weights[t]) % factors[t] for t in range(len(factors))]
-            digits[i], digits[j] = digits[j], digits[i]
-            perm[x] = sum(d * w for d, w in zip(digits, weights))
-        star = perm
+        cols = list(range(len(factors)))
+        cols[i], cols[j] = j, i
+        star = digits[:, cols] @ np.array(_mixed_radix_weights(factors))
 
     # Relabel elements by a random permutation fixing 0.
     perm = np.arange(n)

@@ -24,7 +24,7 @@ from .analysis import (
     zero_product_matrix,
 )
 from .errors import PreconditionError, VerificationError
-from .rings import StarRing, _first, _frozen, _row_blocks
+from .rings import StarRing, _first, _first_rows, _frozen, _row_blocks
 
 
 def leq_bruteforce(ring: StarRing, a: int, b: int) -> bool:
@@ -169,17 +169,11 @@ def _diagnose(leq: np.ndarray) -> OrderDiagnostics:
     w = _first(leq & leq.T & ~np.eye(n, dtype=bool))
     antisymmetric = AxiomCheck(w is None, w)
 
-    reach = _bool_product(leq, leq)
-    viol = reach & ~leq
-    witness = None
-    if viol.any():
-        a = int(np.flatnonzero(viol.any(axis=1))[0])
-        for b in np.flatnonzero(leq[a]):
-            cs = np.flatnonzero(leq[b] & ~leq[a])
-            if cs.size:
-                witness = (a, int(b), int(cs[0]))
-                break
-    transitive = AxiomCheck(witness is None, witness)
+    w = _first(_bool_product(leq, leq) & ~leq)
+    if w:
+        a = w[0]
+        w = (a, *_first(leq[a][:, None] & leq & ~leq[a][None, :]))  # [b, c]
+    transitive = AxiomCheck(w is None, w)
     return OrderDiagnostics(reflexive, antisymmetric, transitive)
 
 
@@ -254,6 +248,7 @@ def pair_tables(ring: StarRing) -> PairTables:
         jv = S[A, mv].copy()          # jv[a, b] = (a+b) - mv
         meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
         join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
+        # Per a: lb and ub are ragged supports; a dense block would scan n^2.
         for a in range(n):
             lb = np.flatnonzero(leq[:, a])         # d <= a; rows [d, b]: d <= b
             meet_ok[a] &= ~(leq[lb] & ~leq[lb[:, None], mv[a]]).any(axis=0)
@@ -359,13 +354,16 @@ def orthogonality_axioms(ring: StarRing) -> CheckResult:
     w = _first(Z != Z.T)
     if w:
         return _fail(w, "symmetry")
-    for x in range(n):
-        w = _first(leq[x][:, None] & Z & ~Z[x][None, :])  # [y, z]
-        if w:
-            return _fail((x, *w), "descends")
-    bad = np.flatnonzero(~Z[0])
-    if bad.size:
-        return _fail((0, int(bad[0])), "zero-orthogonal")
+
+    def descends(xs):  # [x, y, z]: x <= y and y ⊥ z, but not x ⊥ z
+        return leq[xs][:, :, None] & Z & ~Z[xs][:, None, :]
+
+    w = _first_rows(n, n * n, descends)
+    if w:
+        return _fail(w, "descends")
+    w = _first(~Z[0])
+    if w:
+        return _fail((0, *w), "zero-orthogonal")
     return PASS
 
 
@@ -404,6 +402,7 @@ def cancellation_check(ring: StarRing) -> CheckResult:
     pt = pair_tables(ring)
     leq = leq_matrix(ring)
     for x in range(ring.order):
+        # Per x: ys and zs are ragged; a dense [x, y, z] block would scan n^2.
         # Only y ⊥ x and z ⊥ x with a join x∨z meet the hypothesis; both
         # index arrays ascend, so the row-major first hit is the first triple.
         ys = np.flatnonzero(Z[x])
@@ -493,7 +492,11 @@ def _segment_bound(pt: PairTables | None, glb: bool, elems, pos, L, i, j) -> np.
 
 def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     """Build [0, m] and verify orthocomplementation, orthomodularity, and
-    agreement of segment orthogonality with ring orthogonality."""
+    agreement of segment orthogonality with ring orthogonality.
+
+    ``complement-involution`` is an internal-consistency check: with the
+    ring's own subtraction m - (m - a) = a always holds, so it fires only
+    on an inconsistent ``sub_table``."""
     m = ring.check(m)
     leq = leq_matrix(ring)
     Z = zero_product_matrix(ring)
@@ -516,10 +519,9 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     pos = np.full(ring.order, -1, dtype=np.int64)
     pos[elems] = np.arange(s)
     comp = pos[comp_raw]
-    outside = np.flatnonzero(comp < 0)
-    if outside.size:
-        a = int(elems[outside[0]])
-        return make(False, False, False, wit("complement-in-segment", (a,)))
+    w = _first(comp < 0)
+    if w:
+        return make(False, False, False, wit("complement-in-segment", elems[list(w)]))
 
     pt = pair_tables(ring) if build_order(ring).diagnostics.all_pass else None
     idx = np.arange(s)
@@ -528,16 +530,16 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     # Orthocomplementation: a∧a' = 0, a∨a' = m, involution, antitone.
     meet_bad = _segment_bound(pt, True, elems, pos, L, idx, comp) != pos[0]
     join_bad = _segment_bound(pt, False, elems, pos, L, idx, comp) != pos[m]
-    bad = np.flatnonzero(meet_bad | join_bad)
-    orthoc = not bad.size
+    w = _first(meet_bad | join_bad)
+    orthoc = w is None
     if not orthoc:
-        axiom = "complement-meet-zero" if meet_bad[bad[0]] else "complement-join-top"
-        witness = wit(axiom, (elems[bad[0]],))
+        axiom = "complement-meet-zero" if meet_bad[w] else "complement-join-top"
+        witness = wit(axiom, elems[list(w)])
     if orthoc:
-        bad = np.flatnonzero(comp[comp] != idx)
-        if bad.size:
+        w = _first(comp[comp] != idx)
+        if w:
             orthoc = False
-            witness = wit("complement-involution", (elems[bad[0]],))
+            witness = wit("complement-involution", elems[list(w)])
     if orthoc:
         w = _first(L & ~L[comp][:, comp].T)  # i <= j but not comp(j) <= comp(i)
         if w:
@@ -550,9 +552,9 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     if orthom:
         i, j = np.nonzero(L[:, comp])  # i <= comp(j), row-major
         lub = _segment_bound(pt, False, elems, pos, L, i, j)
-        missing = np.flatnonzero(lub < 0)
-        if missing.size:
-            k = missing[0]
+        w = _first(lub < 0)
+        if w:
+            k = w[0]
             orthom = False
             witness = wit("orthogonal-join-exists", (elems[i[k]], elems[j[k]]))
     if orthom:
@@ -591,11 +593,12 @@ def problem2_check(ring: StarRing, include_left: bool = False) -> CheckResult:
         return ~_bool_product(nonzero, nonzero.T)
 
     hyp = disjoint("right") & disjoint("left") if include_left else disjoint("right")
-    for a in range(n):
-        w = _first(leq[a][None, :] & leq & ~leq[A[a]] & hyp[a][:, None])  # [b, c]
-        if w:
-            return _fail((a, *w))
-    return PASS
+
+    def fails(a):  # [a, b, c]
+        return leq[a][:, None, :] & leq & ~leq[A[a]] & hyp[a][:, :, None]
+
+    w = _first_rows(n, n * n, fails)
+    return _fail(w) if w else PASS
 
 
 def covering_matrix(leq: np.ndarray) -> np.ndarray:

@@ -117,6 +117,18 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
+def _first_rows(n: int, row_size: int, mask_of) -> tuple[int, ...] | None:
+    """``_first`` of a mask with n rows on its leading axis, built a block
+    of rows at a time: ``mask_of(rows)`` is the mask of the ascending rows
+    ``rows``, and each block gathers at most ``_BLOCK`` elements when one
+    row costs ``row_size``. Later blocks are not built once one hits."""
+    for blk in _row_blocks(n, row_size):
+        w = _first(mask_of(np.arange(blk.start, blk.stop)))
+        if w:
+            return (w[0] + blk.start, *w[1:])
+    return None
+
+
 def _additive_generators(add: np.ndarray) -> list[int] | None:
     """A greedy generating set G of the magma ``(elements, add)`` over 0.
 
@@ -178,80 +190,59 @@ def validate_tables(
     bad: list[tuple[str, tuple[int, ...]]] = []
     gens = _additive_generators(add)
 
-    def first_triple(fail):
-        # fail(x) is an (n, n) mismatch mask over (y, z); scan x ascending.
-        for x in range(n):
-            w = _first(fail(x))
-            if w:
-                return (x, *w)
-        return None
-
     def proved_or_scanned(gs, fail_at, fail):
         # fail_at(g) is the mismatch mask of the axiom's test at generator g.
         # If no g in gs fails, the axiom holds; otherwise (or with no gs)
-        # the exhaustive scan finds the first witness.
+        # the exhaustive scan finds the first witness: fail(xs) is the
+        # [x, y, z] mismatch mask of the block of rows xs.
         if gs is not None and not any(fail_at(g).any() for g in gs):
             return None
-        return first_triple(fail)
+        return _first_rows(n, n * n, fail)
 
-    w = _first(add[0] != idx)
-    if w:
-        bad.append(("add-identity", w))
-    w = _first(add != add.T)
-    if w:
-        bad.append(("add-commutative", w))
+    def undistributed(p):
+        # p[x, y] is x·y or y·x; [x, y, z]: p[x, y+z] != p[x, y] + p[x, z].
+        return p[:, add] != add[p[:, :, None], p[:, None, :]]
+
+    def note(axiom, w):
+        if w:
+            bad.append((axiom, w))
+
+    note("add-identity", _first(add[0] != idx))
+    note("add-commutative", _first(add != add.T))
     # Light's test needs 0 among the tested elements unless it is neutral.
     light = [0] + gens if bad and gens is not None else gens
-    w = proved_or_scanned(
+    note("add-associative", proved_or_scanned(
         light,
         lambda g: add[:, add[g]] != add[add[:, g]],
-        lambda x: add[add[x]] != add[x][add],
-    )
-    if w:
-        bad.append(("add-associative", w))
-    w = _first(~(add == 0).any(axis=1))
-    if w:
-        bad.append(("add-inverse", w))
+        lambda xs: add[add[xs]] != add[xs][:, add],
+    ))
+    note("add-inverse", _first(~(add == 0).any(axis=1)))
     # G, once + is an abelian group; then the row add[g] is also the column.
     group_gens = None if bad else gens
     left = proved_or_scanned(
         group_gens,
         lambda g: np.take(mul, add[g], axis=1) != add[mul, mul[:, g][:, None]],
-        lambda x: mul[x][add] != add[mul[x][:, None], mul[x][None, :]],
+        lambda xs: undistributed(mul[xs]),
     )
     right = proved_or_scanned(
         group_gens,
         lambda g: mul[add[g]] != add[mul, mul[g]],
-        lambda x: mul[add, x] != add[mul[:, x][:, None], mul[:, x][None, :]],
+        lambda xs: undistributed(mul[:, xs].T),
     )
     ring_gens = None if left or right else group_gens
     gv = np.array(ring_gens or [], dtype=np.intp)
-    w = proved_or_scanned(
+    note("mul-associative", proved_or_scanned(
         ring_gens,
         lambda g: mul[mul[g, gv][:, None], gv] != mul[g, mul[gv[:, None], gv]],
-        lambda x: mul[mul[x]] != mul[x][mul],
-    )
-    if w:
-        bad.append(("mul-associative", w))
-    w = _first(mul[one] != idx)
-    if w:
-        bad.append(("left-unit", w))
-    w = _first(mul[:, one] != idx)
-    if w:
-        bad.append(("right-unit", w))
-    if left:
-        bad.append(("left-distributive", left))
-    if right:
-        bad.append(("right-distributive", right))
-    w = _first(star[add] != add[star[:, None], star[None, :]])
-    if w:
-        bad.append(("star-additive", w))
-    w = _first(star[mul] != mul[star[:, None], star[None, :]].T)
-    if w:
-        bad.append(("star-multiplicative", w))
-    w = _first(star[star] != idx)
-    if w:
-        bad.append(("star-involutive", w))
+        lambda xs: mul[mul[xs]] != mul[xs][:, mul],
+    ))
+    note("left-unit", _first(mul[one] != idx))
+    note("right-unit", _first(mul[:, one] != idx))
+    note("left-distributive", left)
+    note("right-distributive", right)
+    note("star-additive", _first(star[add] != add[star[:, None], star[None, :]]))
+    note("star-multiplicative", _first(star[mul] != mul[star[:, None], star[None, :]].T))
+    note("star-involutive", _first(star[star] != idx))
     return bad, gens
 
 
@@ -293,7 +284,7 @@ def build_modular(n: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
         raise RingSpecError(f"modular order must be >= 1, got {n}")
     if n > cap:
         raise OrderCapError(f"Z{n} exceeds the order cap {cap}")
-    add, mul, one = _cyclic_product_tables([n])
+    add, mul, one, _ = _cyclic_product_tables([n])
     return _make_ring(f"Z{n}", add, mul, np.arange(n), one)
 
 
@@ -304,18 +295,32 @@ def _mixed_radix_weights(orders: Sequence[int]) -> list[int]:
     return w
 
 
-def _cyclic_product_tables(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(add, mul, one)`` of Z_o1 x ... x Z_ok, unvalidated, indexed as
-    ``build_product`` indexes the product of the ``build_modular`` parts."""
+def _product_tables(orders: Sequence[int], tables) -> tuple[np.ndarray, np.ndarray]:
+    """``(out, digits)``: ``out[t]`` is the componentwise product of the
+    parts' t-th tables ``tables[i][t]``, unvalidated. Element x has digit
+    ``digits[x, i]`` in part i: indices are mixed-radix over the parts, the
+    first most significant, so the all-zero tuple lands at index 0."""
     w = _mixed_radix_weights(orders)
-    ar = np.arange(w[0] * orders[0], dtype=np.int64)
-    add = np.zeros((ar.size, ar.size), dtype=np.int64)
-    mul = np.zeros_like(add)
-    for o, wt in zip(orders, w):
-        d = (ar // wt) % o
-        add += (d[:, None] + d[None, :]) % o * wt
-        mul += (d[:, None] * d[None, :]) % o * wt
-    return add, mul, sum(1 % o * wt for o, wt in zip(orders, w))
+    ar = np.arange(w[0] * orders[0])
+    digits = ar[:, None] // w % np.asarray(orders)
+    # Every entry is below the order, and an n x n table with n >= 2^31
+    # cannot be allocated, so int32 sums do not overflow.
+    out = np.zeros((len(tables[0]), ar.size, ar.size), dtype=_DT)
+    for part, d, wt in zip(tables, digits.T, w):
+        for acc, t in zip(out, part):
+            acc += t[d[:, None], d[None, :]] * wt
+    return out, digits
+
+
+def _cyclic_product_tables(orders: Sequence[int]) -> tuple:
+    """``(add, mul, one, digits)`` of Z_o1 x ... x Z_ok, unvalidated,
+    indexed as ``build_product`` indexes the product of the
+    ``build_modular`` parts; ``digits`` as in ``_product_tables``."""
+    ars = [np.arange(o, dtype=_DT) for o in orders]
+    tables = [((a[:, None] + a) % o, a[:, None] * a % o) for a, o in zip(ars, orders)]
+    (add, mul), digits = _product_tables(orders, tables)
+    one = sum(1 % o * wt for o, wt in zip(orders, _mixed_radix_weights(orders)))
+    return add, mul, one, digits
 
 
 def build_product(
@@ -334,23 +339,14 @@ def build_product(
         total *= o
         if total > cap:
             raise OrderCapError(f"product order exceeds the cap {cap}")
-    k = len(parts)
     w = _mixed_radix_weights(orders)
-    ar = np.arange(total, dtype=np.int64)
-    digits = [(ar // w[i]) % orders[i] for i in range(k)]
-    add = np.zeros((total, total), dtype=np.int64)
-    mul = np.zeros((total, total), dtype=np.int64)
-    star = np.zeros(total, dtype=np.int64)
-    one = 0
-    for i, p in enumerate(parts):
-        d = digits[i]
-        add += p.addition[d[:, None], d[None, :]].astype(np.int64) * w[i]
-        mul += p.multiplication[d[:, None], d[None, :]].astype(np.int64) * w[i]
-        star += p.involution[d].astype(np.int64) * w[i]
-        one += p.one * w[i]
+    tables = [(p.addition, p.multiplication) for p in parts]
+    (add, mul), digits = _product_tables(orders, tables)
+    star = sum(p.involution[d] * wt for p, d, wt in zip(parts, digits.T, w))
+    one = sum(p.one * wt for p, wt in zip(parts, w))
     names = tuple(
-        "(" + ",".join(parts[i].name_of(int(digits[i][x])) for i in range(k)) + ")"
-        for x in range(total)
+        "(" + ",".join(p.name_of(int(v)) for p, v in zip(parts, row)) + ")"
+        for row in digits
     )
     label = " x ".join(p.label for p in parts)
     return _make_ring(label, add, mul, star, one, names)
@@ -368,25 +364,20 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
             "transpose involution to be valid"
         )
     cells = k * k
-    total = 1
-    for _ in range(cells):
-        total *= base.order
-        if total > cap:
-            raise OrderCapError(f"M{k}({base.label}) exceeds the order cap {cap}")
+    # A base of order >= 2 caps k*k at log2(cap); one of order 1 would
+    # otherwise build a zero ring from k*k cells, at O(k^3) cost.
+    if cells > cap.bit_length() or base.order**cells > cap:
+        raise OrderCapError(f"M{k}({base.label}) exceeds the order cap {cap}")
+    total = base.order**cells
+    # The additive group is the product of k*k copies of the base's.
+    (add,), digits = _product_tables([base.order] * cells, [(base.addition,)] * cells)
+    digits = digits.reshape(total, k, k)
     w = [base.order ** (cells - 1 - c) for c in range(cells)]
-    ar = np.arange(total, dtype=np.int64)
-    digits = np.stack(
-        [(ar // w[c]) % base.order for c in range(cells)], axis=1
-    ).reshape(total, k, k)
-    add = np.zeros((total, total), dtype=np.int64)
     mul = np.zeros((total, total), dtype=np.int64)
     star = np.zeros(total, dtype=np.int64)
     for i in range(k):
         for j in range(k):
             c = i * k + j
-            add += base.addition[
-                digits[:, None, i, j], digits[None, :, i, j]
-            ].astype(np.int64) * w[c]
             s = base.multiplication[digits[:, None, i, 0], digits[None, :, 0, j]]
             for l in range(1, k):
                 s = base.addition[

@@ -405,3 +405,125 @@ def oracle_cancellation(t, ortho):
                 if j is not None and (y, j) in pairs:
                     return x, y, z
     return None
+
+
+def oracle_order_diagnostics(n, leq):
+    """The first witness against reflexivity, antisymmetry and transitivity
+    of the relation ``leq(a, b)`` on range(n), row-major, or None each."""
+    elems = range(n)
+    reflexive = next(((a,) for a in elems if not leq(a, a)), None)
+    antisymmetric = next(
+        ((a, b) for a, b in product(elems, repeat=2) if a != b and leq(a, b) and leq(b, a)),
+        None,
+    )
+    transitive = next(
+        (
+            (a, b, c)
+            for a, b, c in product(elems, repeat=3)
+            if leq(a, b) and leq(b, c) and not leq(a, c)
+        ),
+        None,
+    )
+    return reflexive, antisymmetric, transitive
+
+
+def oracle_orthogonality_axioms(n, leq, ortho):
+    """``(witness, note)`` for the first failing orthogonality axiom, in the
+    package's order (symmetry, descends, zero-orthogonal), or None.
+    ``leq(a, b)`` and ``ortho(a, b)`` are the relations checked."""
+    elems = range(n)
+    for a, b in product(elems, repeat=2):
+        if ortho(a, b) != ortho(b, a):
+            return (a, b), "symmetry"
+    for x, y, z in product(elems, repeat=3):
+        if leq(x, y) and ortho(y, z) and not ortho(x, z):
+            return (x, y, z), "descends"
+    for x in elems:
+        if not ortho(0, x):
+            return (0, x), "zero-orthogonal"
+    return None
+
+
+def oracle_problem2(t, leq, include_left=False):
+    """The first (a, b, c), row-major, with a <= c, b <= c and aR ∩ bR = {0}
+    (and Ra ∩ Rb = {0} with ``include_left``) but not a+b <= c, or None.
+    ``leq(a, b)`` is the relation checked."""
+    add, mul, star, one = t
+    n = len(add)
+    right = [{mul[a][r] for r in range(n)} for a in range(n)]
+    left = [{mul[r][a] for r in range(n)} for a in range(n)]
+    for a, b in product(range(n), repeat=2):
+        if right[a] & right[b] != {0} or include_left and left[a] & left[b] != {0}:
+            continue
+        for c in range(n):
+            if leq(a, c) and leq(b, c) and not leq(add[a][b], c):
+                return a, b, c
+    return None
+
+
+def oracle_annihilator_identity(t, ortho, covers):
+    """``(witness, note)`` for the first x, then set, then y at which r(xR)
+    differs from r(eR), l(Rx), l(Re), (1-e)R, R(1-e) or {y : ey = 0}, with
+    e = ``covers[x]``; None if they all agree. ``ortho(a, b)`` stands for
+    aRb = 0."""
+    add, mul, star, one = t
+    n = len(add)
+    neg = [next(y for y in range(n) if add[x][y] == 0) for x in range(n)]
+    for x in range(n):
+        e = covers[x]
+        f = add[one][neg[e]]
+        others = (
+            ("r(eR)", lambda y: ortho(e, y)),
+            ("l(Rx)", lambda y: ortho(y, x)),
+            ("l(Re)", lambda y: ortho(y, e)),
+            ("(1-e)R", lambda y: y in {mul[f][r] for r in range(n)}),
+            ("R(1-e)", lambda y: y in {mul[r][f] for r in range(n)}),
+            ("ey=0", lambda y: mul[e][y] == 0),
+        )
+        for tag, member in others:
+            for y in range(n):
+                if ortho(x, y) != member(y):
+                    return (x, y), f"r(xR) != {tag}"
+    return None
+
+
+def oracle_cover_remark(t, leq, covers):
+    """``(witness, note)`` for the first failing cover identity, in the
+    package's order, or None: C(e) = e and C(e·x) = e·C(x) for central
+    projections e, C(x*) = C(x), ``leq`` agreeing with e = e·f on the
+    central projections, and e = e·f being antisymmetric and transitive.
+    ``covers[x]`` is taken as C(x)."""
+    add, mul, star, one = t
+    n = len(add)
+    cps = oracle_central_projections(t)
+    below = lambda e, f: mul[e][f] == e
+    checks = (
+        ("cover-of-central-projection", ((e,) for e in cps if covers[e] != e)),
+        (
+            "cover-scaling",
+            ((e, x) for e in cps for x in range(n) if covers[mul[e][x]] != mul[e][covers[x]]),
+        ),
+        ("cover-star", ((x,) for x in range(n) if covers[star[x]] != covers[x])),
+        (
+            "central-projection-order",
+            ((e, f) for e in cps for f in cps if leq(e, f) != below(e, f)),
+        ),
+        (
+            "central-projection-antisymmetry",
+            ((e, f) for e in cps for f in cps if e != f and below(e, f) and below(f, e)),
+        ),
+        (
+            "central-projection-transitivity",
+            (
+                (e, g)
+                for e in cps
+                for g in cps
+                if not below(e, g) and any(below(e, f) and below(f, g) for f in cps)
+            ),
+        ),
+    )
+    for note, witnesses in checks:
+        w = next(witnesses, None)
+        if w:
+            return w, note
+    return None

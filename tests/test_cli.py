@@ -311,6 +311,39 @@ class TestEnvCap:
         assert json.loads(err)["error"] == "order-cap"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["segment", Z6], ["fuzz", "--max-order", "x"], ["bogus"]],
+    ids=["segment-without-top", "non-integer-option", "unknown-command"],
+)
+def test_usage_error_is_one_json_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: starorder")
+
+
+def test_matrix_over_zero_ring_hits_the_cap_at_once():
+    # Each of the k*k cells multiplied the order by 1, so no count of cells
+    # reached the cap; k = 300 ran for minutes.
+    spec = '{"type":"matrix","base":{"type":"modular","n":1},"k":300}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "starorder", "classify", spec],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "order-cap"
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "starorder", "classify", Z6],

@@ -112,6 +112,10 @@ class TestMatrix:
     def test_cap(self):
         with pytest.raises(so.OrderCapError):
             so.build_matrix(so.build_modular(3), 2, cap=80)
+        # Over Z1 every k gives the zero ring, but k*k > log2(cap) is refused.
+        assert so.build_matrix(so.build_modular(1), 3).order == 1
+        with pytest.raises(so.OrderCapError):
+            so.build_matrix(so.build_modular(1), 4)
 
 
 class TestTables:
@@ -319,8 +323,14 @@ def _magma_tables(draw):
 )
 def test_validate_tables_matches_exhaustive_oracle(t):
     add, mul, star, one = t
-    got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
-    assert got == oracle_violations(t)
+    want = oracle_violations(t)
+    # One row, several rows (150 elements hold 2 to 9 rows of n^2 at n = 4
+    # to 8) or every row of a fallback scan in one block.
+    for block in (rings._BLOCK, 1, 150):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "_BLOCK", block)
+            got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+        assert got == want, block
 
 
 def _t(rows):
@@ -355,7 +365,7 @@ class TestRandomCandidates:
     @pytest.mark.parametrize("n", range(1, fuzz.RANDOM_TABLE_MAX_ORDER + 1))
     def test_unvalidated_base_matches_validated_product(self, n):
         for factors in _factor_lists(n):
-            add, mul, one = rings._cyclic_product_tables(factors)
+            add, mul, one, _ = rings._cyclic_product_tables(factors)
             ring = so.build_product([so.build_modular(f) for f in factors])
             assert np.array_equal(add, ring.addition), factors
             assert np.array_equal(mul, ring.multiplication), factors
