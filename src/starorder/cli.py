@@ -165,15 +165,16 @@ def _cmd_verify(args) -> int:
 def _cmd_fuzz(args) -> int:
     families = tuple(sorted({f.strip() for f in args.families.split(",") if f.strip()}))
     budget = args.budget
+    cap = _resolve_cap()
     if budget is None:
         if "random-table" in families:
             raise _InputError(
                 "fuzz-budget", "--budget is required when the random-table family is selected"
             )
         probe = FuzzConfig(args.max_order, families or ("modular",), args.seed, 1)
-        budget = max(1, len(structural_specs(probe)))
+        budget = max(1, len(structural_specs(probe, cap)))
     config = FuzzConfig(args.max_order, families, args.seed, budget)
-    report = fuzz(config, _resolve_cap())
+    report = fuzz(config, cap)
     if args.pretty:
         counts = report.verdict_counts
         print(

@@ -97,8 +97,15 @@ def _product_part_tuples(max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def structural_specs(config: FuzzConfig) -> list[RingSpec]:
-    """Systematic family members, largest ring first (deterministic)."""
+def structural_specs(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> list[RingSpec]:
+    """Systematic family members, largest ring first (deterministic).
+
+    A ``max_order`` above ``cap`` is refused before anything is enumerated.
+    """
+    if config.max_order > cap:
+        raise RingSpecError(
+            f"fuzz max_order {config.max_order} exceeds the order cap {cap}"
+        )
     entries: list[tuple[int, str, str, RingSpec]] = []
     if "modular" in config.families:
         for n in range(1, config.max_order + 1):
@@ -201,10 +208,7 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
     candidates, discarding any that fail validation. A failing theorem
     whose hypotheses were satisfied halts the run.
     """
-    if config.max_order > cap:
-        raise RingSpecError(
-            f"fuzz max_order {config.max_order} exceeds the order cap {cap}"
-        )
+    specs = structural_specs(config, cap)
     rng = random.Random(config.seed)
     counts = {"fail": 0, "pass": 0, "skipped": 0}
     failures: list[dict] = []
@@ -229,7 +233,7 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
                     halted = True
         return not halted
 
-    for spec in structural_specs(config):
+    for spec in specs:
         if rings_checked >= config.budget:
             break
         if not check(realize(spec, cap), spec):

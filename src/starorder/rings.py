@@ -129,22 +129,25 @@ def _first_rows(n: int, row_size: int, mask_of) -> tuple[int, ...] | None:
     return None
 
 
-def _additive_generators(add: np.ndarray) -> list[int] | None:
-    """A greedy generating set G of the magma ``(elements, add)`` over 0.
+def _generators(
+    op: np.ndarray, base: list[int], limit: int | None = None
+) -> list[int] | None:
+    """A greedy generating set G of the magma ``(elements, op)`` over
+    ``base``: every element is an op-product of elements of base and G.
 
-    Starting from R = {0}, the smallest element outside R joins G and R is
-    closed under sums, until R holds every element. An abelian group of
-    order n needs at most log2(n) generators this way, since each one at
-    least doubles R; past ``n.bit_length()`` the table is no group and None
-    is returned. Closure only sums pairs that involve a newly reached
-    element, so building G costs O(n^2) in all.
+    Starting from R = base, the smallest element outside R joins G and R is
+    closed under op, until R holds every element. Closure only forms
+    products that involve a newly reached element, so building G costs
+    O(n^2) in all. Past ``limit`` generators None is returned: an abelian
+    group of order n needs at most log2(n) of them over {0}, since each one
+    at least doubles R.
     """
-    n = add.shape[0]
+    n = op.shape[0]
     reached = np.zeros(n, dtype=bool)
-    reached[0] = True
+    reached[base] = True
     gens: list[int] = []
     while not reached.all():
-        if len(gens) == n.bit_length():
+        if len(gens) == limit:
             return None
         g = int(np.argmin(reached))
         gens.append(g)
@@ -153,8 +156,8 @@ def _additive_generators(add: np.ndarray) -> list[int] | None:
         while new.size:
             r = np.flatnonzero(reached)
             hit = np.zeros(n, dtype=bool)
-            hit[add[new[:, None], r]] = True
-            hit[add[r[:, None], new]] = True
+            hit[op[new[:, None], r]] = True
+            hit[op[r[:, None], new]] = True
             new = np.flatnonzero(hit & ~reached)
             reached[new] = True
     return gens
@@ -167,7 +170,7 @@ def validate_tables(
 
     Returns ``(violations, G)``: one ``(axiom, witness)`` pair per violated
     axiom, with the lexicographically first witness, and the additive
-    generating set G of ``_additive_generators`` (|G| <= log2 n; None when
+    generating set G of ``_generators`` over {0} (|G| <= log2 n; None when
     none is found). The four triple axioms are proved on G, so an accepted
     table costs O(|G|·n^2):
 
@@ -183,21 +186,47 @@ def validate_tables(
 
     An axiom whose test fails, or whose precondition does not hold, falls
     back to the exhaustive O(n^3) scan for that axiom alone, which finds
-    the witness.
+    the witness. When the n^3 cube does not fit in one ``_BLOCK``, two
+    certificates cut that scan short:
+
+    - mul-associative without the G^3 proof: Light's test on a greedy
+      generating set S of the magma (R, ·), which costs O(|S|·n^2) and
+      proves the axiom when it passes.
+    - a distributive law whose G test fails: with x the multiplier, row x
+      holds a witness exactly when ``x(y+g) != xy+xg`` (resp.
+      ``(y+g)x != yx+gx``) for some y and g in G, by the closure above.
+      So the first row failing the G test is the witness's x, and only
+      that row is scanned.
     """
     n = add.shape[0]
     idx = np.arange(n)
     bad: list[tuple[str, tuple[int, ...]]] = []
-    gens = _additive_generators(add)
+    gens = _generators(add, [0], n.bit_length())
+    # A scan of one block costs less than building either certificate.
+    one_block = n**3 <= _BLOCK
 
-    def proved_or_scanned(gs, fail_at, fail):
+    def proved_or_scanned(gs, fail_at, fail, by_row=False):
         # fail_at(g) is the mismatch mask of the axiom's test at generator g.
         # If no g in gs fails, the axiom holds; otherwise (or with no gs)
         # the exhaustive scan finds the first witness: fail(xs) is the
-        # [x, y, z] mismatch mask of the block of rows xs.
-        if gs is not None and not any(fail_at(g).any() for g in gs):
+        # [x, y, z] mismatch mask of the block of rows xs. With by_row,
+        # fail_at(g) is an [x, y] mask whose failing rows x, over all g, are
+        # exactly the rows that hold a witness, so only the first is scanned.
+        masks = (fail_at(g) for g in gs or ())
+        hit = next((m for m in masks if m.any()), None)
+        if hit is None and gs is not None:
             return None
-        return _first_rows(n, n * n, fail)
+        if hit is None or not by_row or one_block:
+            return _first_rows(n, n * n, fail)
+        rows = hit.any(axis=1)
+        for m in masks:
+            rows |= m.any(axis=1)
+        x = int(np.argmax(rows))
+        return (x, *_first(fail(np.array([x])))[1:])
+
+    def light(op):
+        # [x, y]: (x·g)·y != x·(g·y), for op written as ·.
+        return lambda g: op[op[:, g]] != op[:, op[g]]
 
     def undistributed(p):
         # p[x, y] is x·y or y·x; [x, y, z]: p[x, y+z] != p[x, y] + p[x, z].
@@ -210,10 +239,9 @@ def validate_tables(
     note("add-identity", _first(add[0] != idx))
     note("add-commutative", _first(add != add.T))
     # Light's test needs 0 among the tested elements unless it is neutral.
-    light = [0] + gens if bad and gens is not None else gens
     note("add-associative", proved_or_scanned(
-        light,
-        lambda g: add[:, add[g]] != add[add[:, g]],
+        [0] + gens if bad and gens is not None else gens,
+        light(add),
         lambda xs: add[add[xs]] != add[xs][:, add],
     ))
     note("add-inverse", _first(~(add == 0).any(axis=1)))
@@ -223,18 +251,23 @@ def validate_tables(
         group_gens,
         lambda g: np.take(mul, add[g], axis=1) != add[mul, mul[:, g][:, None]],
         lambda xs: undistributed(mul[xs]),
+        by_row=True,
     )
     right = proved_or_scanned(
         group_gens,
-        lambda g: mul[add[g]] != add[mul, mul[g]],
+        lambda g: (mul[add[g]] != add[mul, mul[g]]).T,
         lambda xs: undistributed(mul[:, xs].T),
+        by_row=True,
     )
     ring_gens = None if left or right else group_gens
-    gv = np.array(ring_gens or [], dtype=np.intp)
+    if ring_gens is None and not one_block:
+        mul_gens, mul_at = _generators(mul, []), light(mul)
+    else:
+        gv = np.array(ring_gens or [], dtype=np.intp)
+        mul_gens = ring_gens
+        mul_at = lambda g: mul[mul[g, gv][:, None], gv] != mul[g, mul[gv[:, None], gv]]
     note("mul-associative", proved_or_scanned(
-        ring_gens,
-        lambda g: mul[mul[g, gv][:, None], gv] != mul[g, mul[gv[:, None], gv]],
-        lambda xs: mul[mul[xs]] != mul[xs][:, mul],
+        mul_gens, mul_at, lambda xs: mul[mul[xs]] != mul[xs][:, mul]
     ))
     note("left-unit", _first(mul[one] != idx))
     note("right-unit", _first(mul[:, one] != idx))
@@ -446,10 +479,14 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
         len(row) != n for row in spec.mul
     ):
         raise RingSpecError("add/mul tables must be square")
-    add = np.array(spec.add, dtype=np.int64)
-    mul = np.array(spec.mul, dtype=np.int64)
-    star = np.array(spec.star, dtype=np.int64)
-    return _make_ring(f"table{n}", add, mul, star, int(spec.one))
+    label = f"table{n}"
+    tables = []
+    for name, rows in (("add", spec.add), ("mul", spec.mul), ("star", spec.star)):
+        try:
+            tables.append(np.array(rows, dtype=np.int64))
+        except OverflowError:  # an entry beyond int64 is out of range too
+            raise RingSpecError(f"{label}: {name} table entry out of range") from None
+    return _make_ring(label, *tables, int(spec.one))
 
 
 def _int_field(obj: dict, key: str) -> int:

@@ -82,6 +82,30 @@ class TestClassify:
             "detail": f"table spec field {field!r} entries must be integers",
         }
 
+    @pytest.mark.parametrize("value", [10**23, -(10**23)])
+    @pytest.mark.parametrize("field", ["add", "mul", "star"])
+    def test_oversized_table_entry_exits_2(self, capsys, field, value):
+        # Beyond int64: the entry cannot even be stored, so it is out of range.
+        spec = {
+            "type": "table",
+            "order": 2,
+            "add": [[0, 1], [1, 0]],
+            "mul": [[0, 0], [0, 1]],
+            "star": [0, 1],
+            "zero": 0,
+            "one": 1,
+        }
+        if field == "star":
+            spec["star"][1] = value
+        else:
+            spec[field][1][1] = value
+        code, out, err = run(capsys, "classify", json.dumps(spec))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ring-spec",
+            "detail": f"table2: {field} table entry out of range",
+        }
+
     @staticmethod
     def _nested(levels: int) -> str:
         # Built as text: json.dumps itself recurses too deeply at 1200 levels.
@@ -259,6 +283,24 @@ class TestFuzzCommand:
         code, _, err = run(capsys, "fuzz", "--families", "random-table")
         assert code == 2
         assert json.loads(err)["error"] == "fuzz-budget"
+
+    def test_max_order_above_cap_refused_before_enumerating(self, capsys):
+        # Without --budget the structural members are counted first; above
+        # the cap that count took 20 s at 50 000 and ran out of memory at 10^6.
+        refusal = {
+            "error": "ring-spec",
+            "detail": "fuzz max_order 1000000 exceeds the order cap 4096",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "starorder", "fuzz", "--max-order", "1000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr) == refusal
+        code, out, err = run(capsys, "fuzz", "--max-order", "1000000", "--budget", "1")
+        assert (code, out, json.loads(err)) == (2, "", refusal)
 
     def test_clean_family_exits_0(self, capsys):
         # Largest three are Z7, Z6, Z5: all squarefree, so no failures.

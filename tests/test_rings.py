@@ -321,16 +321,129 @@ def _magma_tables(draw):
         0,
     )
 )
+# Light's test on (R, ·) tests every generator, 0 included: 0·0 = 2, and
+# (0·0)·0 = 1 != 0·(0·0) = 2.
+@example(
+    (
+        [[(x + y) % 3 for y in range(3)] for x in range(3)],
+        [[2, 1, 2], [2, 1, 2], [1, 1, 2]],
+        [0, 1, 2],
+        0,
+    )
+)
 def test_validate_tables_matches_exhaustive_oracle(t):
     add, mul, star, one = t
     want = oracle_violations(t)
     # One row, several rows (150 elements hold 2 to 9 rows of n^2 at n = 4
-    # to 8) or every row of a fallback scan in one block.
+    # to 8) or every row of a fallback scan in one block. Past one block (at
+    # 1, and at 150 from n = 6) Light's test on (R, ·) and the first failing
+    # distributive row run too.
     for block in (rings._BLOCK, 1, 150):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rings, "_BLOCK", block)
             got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
         assert got == want, block
+
+
+_M2Z2xZ3 = ring_tables(
+    so.build_product([so.build_matrix(so.build_modular(2), 2), so.build_modular(3)])
+)
+_Z2p6 = ring_tables(so.build_product([so.build_modular(2)] * 6))
+
+
+@pytest.mark.parametrize("tables", [_M2Z2xZ3, _Z2p6], ids=["M2(Z2)xZ3", "Z2^6"])
+@pytest.mark.parametrize(
+    "edits, mul_associative",
+    [
+        # + is no group, so neither G proof applies; · is intact, so Light's
+        # test on (R, ·) proves mul-associative with no scan.
+        ([("add", 5, 9, 1)], True),
+        # The only non-additive row is a late one: the first row failing the
+        # G test is the left-distributive witness's x.
+        ([("mul", -3, 7, 2)], False),
+        # Both broken, · not associative: Light's test fails, the scan runs.
+        ([("add", 5, 9, 1), ("mul", 6, 10, 3)], False),
+    ],
+    ids=["add", "late-mul", "add-and-mul"],
+)
+def test_certificates_past_one_block_match_oracle(tables, edits, mul_associative, monkeypatch):
+    add, mul, star, one = tables
+    add, mul = [row[:] for row in add], [row[:] for row in mul]
+    for table, i, j, v in edits:
+        (add if table == "add" else mul)[i][j] = v
+    n = len(add)
+    # At n = 48 and 64 the cube exceeds one block at the default size.
+    assert n**3 > rings._BLOCK
+    ops = []
+    real = rings._generators
+    monkeypatch.setattr(
+        rings, "_generators", lambda op, *a: ops.append(op) or real(op, *a)
+    )
+    want = oracle_violations((add, mul, star, one))
+    got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+    assert got == want
+    # G of +, then S of · for Light's test: no G proof of mul-associative.
+    assert [op.tolist() for op in ops] == [add, mul]
+    axioms = dict(want)
+    assert ("mul-associative" not in axioms) == mul_associative
+    if edits[0][0] == "mul":
+        assert axioms["left-distributive"][0] == n - 3
+
+
+def test_first_failing_row_is_least_over_all_generators():
+    # (Z2)^6 has G = [1, 2, 4, ...]. Row 61 has one wrong product, so it
+    # fails the left test at every g; row 5 is moved by e = 8 wherever bits
+    # 1 and 2 are set, which is additive along g = 1 but not along g = 2.
+    # The first generator that fails (1) fails only at row 61.
+    add, mul, star, one = _Z2p6
+    mul = [row[:] for row in mul]
+    mul[61][7] = 2
+    mul[5] = [v ^ 8 if y & 6 == 6 else v for y, v in enumerate(mul[5])]
+    want = oracle_violations((add, mul, star, one))
+    got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+    assert got == want
+    assert dict(want)["left-distributive"][0] == 5
+
+
+def test_one_block_tables_keep_the_scan(monkeypatch):
+    # At n = 32, n^3 = 2^15 fits in one block: no generating set of (R, ·).
+    add, mul, star, one = ring_tables(so.build_product([so.build_modular(2)] * 5))
+    add = [row[:] for row in add]
+    add[3][5] = 7
+    ops = []
+    real = rings._generators
+    monkeypatch.setattr(
+        rings, "_generators", lambda op, *a: ops.append(op) or real(op, *a)
+    )
+    got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+    assert got == oracle_violations((add, mul, star, one))
+    assert [op.tolist() for op in ops] == [add]
+
+
+def test_add_corrupted_table_builds_no_cube_scan(monkeypatch):
+    # (Z2)^8 with one wrong sum: n = 256, so each scan block is one row of
+    # n^2 elements. · is intact and associative; an n^3 mul-associative scan
+    # would build all n blocks, finding nothing.
+    add, mul, star, one = ring_tables(so.build_product([so.build_modular(2)] * 8))
+    add, mul, star = np.array(add), np.array(mul), np.array(star)
+    n = add.shape[0]
+    add[3, 5] = 7
+    blocks = 0
+    real = rings._first_rows
+
+    def counted(rows_n, row_size, mask_of):
+        def mask(rows):
+            nonlocal blocks
+            blocks += 1
+            return mask_of(rows)
+
+        return real(rows_n, row_size, mask)
+
+    monkeypatch.setattr(rings, "_first_rows", counted)
+    got, _ = validate_tables(add, mul, star, one)
+    assert "mul-associative" not in dict(got)
+    assert {"add-commutative", "add-associative"} <= set(dict(got))
+    assert blocks < n
 
 
 def _t(rows):
