@@ -186,12 +186,13 @@ def validate_tables(
 
     An axiom whose test fails, or whose precondition does not hold, falls
     back to the exhaustive O(n^3) scan for that axiom alone, which finds
-    the witness. When the n^3 cube does not fit in one ``_BLOCK``, two
-    certificates cut that scan short:
+    the witness. Two more certificates cut that scan short:
 
     - mul-associative without the G^3 proof: Light's test on a greedy
       generating set S of the magma (R, ·), which costs O(|S|·n^2) and
-      proves the axiom when it passes.
+      proves the axiom when it passes. Each g in S costs about one row of
+      the scan, so S is built only up to n/2 elements: a passing test then
+      saves at least what a failing one can add, half a scan.
     - a distributive law whose G test fails: with x the multiplier, row x
       holds a witness exactly when ``x(y+g) != xy+xg`` (resp.
       ``(y+g)x != yx+gx``) for some y and g in G, by the closure above.
@@ -202,8 +203,6 @@ def validate_tables(
     idx = np.arange(n)
     bad: list[tuple[str, tuple[int, ...]]] = []
     gens = _generators(add, [0], n.bit_length())
-    # A scan of one block costs less than building either certificate.
-    one_block = n**3 <= _BLOCK
 
     def proved_or_scanned(gs, fail_at, fail, by_row=False):
         # fail_at(g) is the mismatch mask of the axiom's test at generator g.
@@ -216,7 +215,7 @@ def validate_tables(
         hit = next((m for m in masks if m.any()), None)
         if hit is None and gs is not None:
             return None
-        if hit is None or not by_row or one_block:
+        if hit is None or not by_row:
             return _first_rows(n, n * n, fail)
         rows = hit.any(axis=1)
         for m in masks:
@@ -260,8 +259,8 @@ def validate_tables(
         by_row=True,
     )
     ring_gens = None if left or right else group_gens
-    if ring_gens is None and not one_block:
-        mul_gens, mul_at = _generators(mul, []), light(mul)
+    if ring_gens is None:
+        mul_gens, mul_at = _generators(mul, [], n // 2), light(mul)
     else:
         gv = np.array(ring_gens or [], dtype=np.intp)
         mul_gens = ring_gens
@@ -484,8 +483,10 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
     for name, rows in (("add", spec.add), ("mul", spec.mul), ("star", spec.star)):
         try:
             tables.append(np.array(rows, dtype=np.int64))
-        except OverflowError:  # an entry beyond int64 is out of range too
-            raise RingSpecError(f"{label}: {name} table entry out of range") from None
+        except OverflowError:
+            # An entry beyond int64 is out of range too. Entries of n stand
+            # for it, so _make_ring reports the tables in its usual order.
+            tables.append(np.full(np.shape(rows), n))
     return _make_ring(label, *tables, int(spec.one))
 
 

@@ -106,6 +106,25 @@ class TestClassify:
             "detail": f"table2: {field} table entry out of range",
         }
 
+    @pytest.mark.parametrize("huge", ["add", "mul"])
+    def test_out_of_range_tables_reported_in_order(self, capsys, huge):
+        # add holds 5 at n = 2 or an entry beyond int64, and mul holds the
+        # other kind: add is reported first either way.
+        add, mul = [[0, 1], [1, 5]], [[0, 0], [0, 5]]
+        (add if huge == "add" else mul)[1][1] = 10**23
+        spec = {
+            "type": "table",
+            "order": 2,
+            "add": add,
+            "mul": mul,
+            "star": [0, 1],
+            "zero": 0,
+            "one": 1,
+        }
+        code, out, err = run(capsys, "classify", json.dumps(spec))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["detail"] == "table2: add table entry out of range"
+
     @staticmethod
     def _nested(levels: int) -> str:
         # Built as text: json.dumps itself recurses too deeply at 1200 levels.
