@@ -248,12 +248,15 @@ def pair_tables(ring: StarRing) -> PairTables:
         jv = S[A, mv].copy()          # jv[a, b] = (a+b) - mv
         meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
         join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
-        # Per a: lb and ub are ragged supports; a dense block would scan n^2.
-        for a in range(n):
-            lb = np.flatnonzero(leq[:, a])         # d <= a; rows [d, b]: d <= b
-            meet_ok[a] &= ~(leq[lb] & ~leq[lb[:, None], mv[a]]).any(axis=0)
-            ub = np.flatnonzero(leq[a])            # a <= d; rows [d, b]: b <= d
-            join_ok[a] &= ~(leq[:, ub].T & ~leq[jv[a], ub[:, None]]).any(axis=0)
+        # Rows are the pairs (a, d), d <= a (meet) or a <= d (join), ordered
+        # by a; [k, b]: d bounds a and b, but not the candidate (a, b) value.
+        # An a whose rows span two blocks is reduced in each, and &= joins them.
+        for values, ok, T in ((mv, meet_ok, leq), (jv, join_ok, np.ascontiguousarray(leq.T))):
+            a, d = np.nonzero(T.T)
+            for k in _row_blocks(a.size, n):
+                bad = T[d[k]] & ~T.ravel()[(d[k] * n)[:, None] + values[a[k]]]
+                at = np.flatnonzero(np.diff(a[k], prepend=-1))  # the first row of each a
+                ok[a[k][at]] &= ~np.logical_or.reduceat(bad, at, axis=0)
 
         cub = cub_matrix(ring)
         # The formula candidates are expected to verify wherever a common
@@ -401,16 +404,20 @@ def cancellation_check(ring: StarRing) -> CheckResult:
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     leq = leq_matrix(ring)
-    for x in range(ring.order):
-        # Per x: ys and zs are ragged; a dense [x, y, z] block would scan n^2.
-        # Only y ⊥ x and z ⊥ x with a join x∨z meet the hypothesis; both
-        # index arrays ascend, so the row-major first hit is the first triple.
-        ys = np.flatnonzero(Z[x])
-        zs = np.flatnonzero(Z[x] & pt.cub[x] & pt.join_ok[x])
-        w = _first(leq[ys[:, None], pt.join[x, zs]] & ~leq[ys[:, None], zs])  # [y, z]
-        if w:
-            return _fail((x, ys[w[0]], zs[w[1]]), "cancellation")
-    return PASS
+    leqT = np.ascontiguousarray(leq.T)
+    xs, zs = np.nonzero(Z & pt.cub & pt.join_ok)  # z ⊥ x with a join x∨z
+    js = pt.join[xs, zs]
+
+    def rows(k):  # [k, y]: y ⊥ x and y <= x∨z, but not y <= z
+        return Z[xs[k]] & leqT[js[k]] & ~leqT[zs[k]]
+
+    w = _first_rows(xs.size, ring.order, rows)
+    if not w:
+        return PASS
+    # The rows put z before y: the first failing x is rescanned as [y, z].
+    k = np.flatnonzero(xs == xs[w[0]])
+    y, z = _first(rows(k).T)
+    return _fail((xs[w[0]], y, zs[k[z]]), "cancellation")
 
 
 def quasi_orthomodular_check(ring: StarRing) -> CheckResult:
@@ -467,26 +474,25 @@ class SegmentPoset:
         }
 
 
-def _segment_bound(pt: PairTables | None, glb: bool, elems, pos, L, i, j) -> np.ndarray:
+def _segment_bound(pt: PairTables | None, glb: bool, elems, L, i, j) -> np.ndarray:
     """Segment glb (``glb``) or lub of each position pair (i[k], j[k]) of
-    [0, m], as a position, -1 for none.
+    [0, m], as a ring element, -1 for none.
 
     ``pt`` is given only when the relation is a partial order. Then every
     pair of [0, m] has m as a common upper bound, so its global meet or
-    join lies in [0, m] and is its segment glb or lub. Every pair that
-    ``pt`` does not answer is scanned on the segment order ``L``.
+    join lies in [0, m] and is its segment glb or lub. Only the pairs whose
+    ok bit is false are scanned on the segment order ``L``.
     """
-    out = np.full(i.size, -1, dtype=np.int64)
-    todo = np.ones(i.size, dtype=bool)
-    if pt is not None:
+    if pt is None:
+        out, todo = np.full(i.size, -1), range(i.size)
+    else:
         values, ok = (pt.meet, pt.meet_ok) if glb else (pt.join, pt.join_ok)
-        todo = ~ok[elems[i], elems[j]]
-        out[~todo] = pos[values[elems[i[~todo]], elems[j[~todo]]]]
+        a, b = elems[i], elems[j]
+        out, todo = values[a, b], (~ok[a, b]).nonzero()[0]
     rel = L.T if glb else L
-    for k in np.flatnonzero(todo):
+    for k in todo:
         v = _least_upper(rel, int(i[k]), int(j[k]))
-        if v is not None:
-            out[k] = v
+        out[k] = -1 if v is None else elems[v]
     return out
 
 
@@ -499,74 +505,64 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     on an inconsistent ``sub_table``."""
     m = ring.check(m)
     leq = leq_matrix(ring)
-    Z = zero_product_matrix(ring)
     S = ring.sub_table()
 
-    elems = np.flatnonzero(leq[:, m])
-    s = elems.size
+    elems = leq[:, m].nonzero()[0]
     comp_raw = S[m, elems]
-    L = leq[np.ix_(elems, elems)]
+    rows = leq[elems]
+    L = rows[:, elems]
 
     def make(orthoc, orthom, local, witness):
         return SegmentPoset(
-            ring.label, m, tuple(map(int, elems)), _frozen(L), tuple(map(int, comp_raw)),
+            ring.label, m, tuple(elems.tolist()), _frozen(L), tuple(comp_raw.tolist()),
             orthoc, orthom, local, witness,
         )
 
     def wit(axiom, parts):
         return {"axiom": axiom, "elements": [int(v) for v in parts]}
 
-    pos = np.full(ring.order, -1, dtype=np.int64)
-    pos[elems] = np.arange(s)
-    comp = pos[comp_raw]
-    w = _first(comp < 0)
+    w = _first(~leq[comp_raw, m])
     if w:
         return make(False, False, False, wit("complement-in-segment", elems[list(w)]))
 
     pt = pair_tables(ring) if build_order(ring).diagnostics.all_pass else None
-    idx = np.arange(s)
-    witness = None
+    idx = np.arange(elems.size)
+    comp = elems.searchsorted(comp_raw)  # positions of the complements
+    LC = rows[:, comp_raw]               # [i, j]: i <= comp(j)
 
-    # Orthocomplementation: a∧a' = 0, a∨a' = m, involution, antitone.
-    meet_bad = _segment_bound(pt, True, elems, pos, L, idx, comp) != pos[0]
-    join_bad = _segment_bound(pt, False, elems, pos, L, idx, comp) != pos[m]
-    w = _first(meet_bad | join_bad)
-    orthoc = w is None
-    if not orthoc:
-        axiom = "complement-meet-zero" if meet_bad[w] else "complement-join-top"
-        witness = wit(axiom, elems[list(w)])
-    if orthoc:
+    def failures():  # (axiom, positions) of the failing checks, in order
+        # Orthocomplementation: a∧a' = 0, a∨a' = m, involution, antitone.
+        meet_bad = _segment_bound(pt, True, elems, L, idx, comp) != 0
+        join_bad = _segment_bound(pt, False, elems, L, idx, comp) != m
+        w = _first(meet_bad | join_bad)
+        if w:
+            yield ("complement-meet-zero" if meet_bad[w] else "complement-join-top"), w
         w = _first(comp[comp] != idx)
         if w:
-            orthoc = False
-            witness = wit("complement-involution", elems[list(w)])
-    if orthoc:
-        w = _first(L & ~L[comp][:, comp].T)  # i <= j but not comp(j) <= comp(i)
+            yield "complement-involution", w
+        w = _first(L & ~LC[comp].T)  # i <= j but not comp(j) <= comp(i)
         if w:
-            orthoc = False
-            witness = wit("complement-antitone", elems[list(w)])
-
-    # Orthomodularity over the segment orthogonality a ⊥ b iff a <= b',
-    # which is symmetric once the complement is an antitone involution.
-    orthom = orthoc
-    if orthom:
-        i, j = np.nonzero(L[:, comp])  # i <= comp(j), row-major
-        lub = _segment_bound(pt, False, elems, pos, L, i, j)
+            yield "complement-antitone", w
+        # Orthomodularity over the segment orthogonality a ⊥ b iff a <= b',
+        # which is symmetric once the complement is an antitone involution.
+        i, j = LC.nonzero()  # row-major
+        lub = _segment_bound(pt, False, elems, L, i, j)
         w = _first(lub < 0)
         if w:
-            k = w[0]
-            orthom = False
-            witness = wit("orthogonal-join-exists", (elems[i[k]], elems[j[k]]))
-    if orthom:
-        reached = np.zeros((s, s), dtype=bool)  # [i, b]: b = i∨c for some c ⊥ i
-        reached[i, lub] = True
+            yield "orthogonal-join-exists", (i[w[0]], j[w[0]])
+        reached = np.zeros(L.shape, dtype=bool)  # [i, b]: b = i∨c for some c ⊥ i
+        reached[i, elems.searchsorted(lub)] = True
         w = _first(L & ~reached)
         if w:
-            orthom = False
-            witness = wit("orthomodular-decomposition", elems[list(w)])
+            yield "orthomodular-decomposition", w
+
+    axiom, w = next(failures(), (None, None))
+    witness = wit(axiom, elems[list(w)]) if axiom else None
+    orthom = axiom is None
+    orthoc = orthom or not axiom.startswith("complement-")  # the first four checks fail it
 
     # Locality: segment orthogonality coincides with ring orthogonality.
-    w = _first(L[:, comp] != Z[np.ix_(elems, elems)])
+    w = _first(LC != zero_product_matrix(ring)[elems[:, None], elems])
     locality = w is None
     if not locality and witness is None:
         witness = wit("segment-locality", elems[list(w)])

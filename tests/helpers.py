@@ -386,10 +386,10 @@ def oracle_cub_star_identities(t, covers):
     return None
 
 
-def oracle_cancellation(t, ortho):
-    """The first triple (x, y, z), row-major, with x ⊥ y, x ⊥ z, a least
-    upper bound x∨z, y <= x∨z and not y <= z; None if no triple fails.
-    ``ortho`` is the set of pairs taken as orthogonal."""
+def oracle_cancellation_failures(t, ortho):
+    """Every triple (x, y, z), row-major, with x ⊥ y, x ⊥ z, a least upper
+    bound x∨z, y <= x∨z and not y <= z. ``ortho`` is the set of pairs taken
+    as orthogonal."""
     n = len(t[0])
     elems = range(n)
     pairs = oracle_leq_pairs(t)
@@ -403,8 +403,42 @@ def oracle_cancellation(t, ortho):
                     continue
                 j = joins[x, z]
                 if j is not None and (y, j) in pairs:
-                    return x, y, z
-    return None
+                    yield x, y, z
+
+
+def oracle_cancellation(t, ortho):
+    """The first failing triple of ``oracle_cancellation_failures``, or None."""
+    return next(oracle_cancellation_failures(t, ortho), None)
+
+
+def oracle_pair_tables(t, pairs, covers):
+    """(meet, meet_ok, join, join_ok) at every pair (a, b) with a common upper
+    bound under the relation ``pairs``, as ``pair_tables`` defines them: the
+    formula values m = a·C(b) and (a+b) - m where they are the glb and lub,
+    else the first glb or lub in element order, else the formula value with
+    a false ok bit. ``covers[x]`` is C(x)."""
+    add, mul = t[0], t[1]
+    elems = range(len(add))
+    neg = [next(y for y in elems if add[x][y] == 0) for x in elems]
+    out = {}
+    for a, b in product(elems, repeat=2):
+        upper = [d for d in elems if (a, d) in pairs and (b, d) in pairs]
+        if not upper:
+            continue
+        lower = [d for d in elems if (d, a) in pairs and (d, b) in pairs]
+        m = mul[a][covers[b]]
+        j = add[add[a][b]][neg[m]]
+        glb = m if m in lower and all((d, m) in pairs for d in lower) else None
+        lub = j if j in upper and all((j, d) in pairs for d in upper) else None
+        glb = oracle_glb(pairs, elems, a, b) if glb is None else glb
+        lub = oracle_lub(pairs, elems, a, b) if lub is None else lub
+        out[a, b] = (
+            m if glb is None else glb,
+            glb is not None,
+            j if lub is None else lub,
+            lub is not None,
+        )
+    return out
 
 
 def oracle_order_diagnostics(n, leq):

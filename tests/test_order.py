@@ -16,6 +16,7 @@ from helpers import (
     oracle_leq,
     oracle_leq_pairs,
     oracle_lub,
+    oracle_pair_tables,
     ring_tables,
 )
 
@@ -255,6 +256,71 @@ class TestMeetJoin:
         op = so.meet if field.startswith("meet") else so.join
         with pytest.raises(so.VerificationError):
             op(z6, 2, 3)
+
+
+def _broken_orders(ring, rng):
+    """Copies of the true order of ``ring``, each with the diagnostic it
+    breaks or None: not antisymmetric (a strict pair a < b also gets
+    b <= a), not transitive (a <= c dropped from a chain a < b < c), and a
+    pair (a, b) given an extra common lower bound not below a∧b and an
+    extra common upper bound not above a∨b, so that a formula value bounds
+    the pair but is not the greatest or least bound."""
+    leq = np.array(order.leq_matrix(ring))
+    strict = leq & ~np.eye(ring.order, dtype=bool)
+    a, b = map(int, rng.choice(np.argwhere(strict)))
+    sym = leq.copy()
+    sym[b, a] = True
+    out = [(sym, "antisymmetric")]
+    chains = [(x, y, z) for x, y in np.argwhere(strict) for z in np.flatnonzero(strict[y])]
+    if chains:
+        x, _, z = chains[rng.integers(len(chains))]
+        gap = leq.copy()
+        gap[x, z] = False
+        out.append((gap, "transitive"))
+    pt = order.pair_tables(ring)
+    a, b = map(int, rng.choice(np.argwhere(pt.cub & pt.meet_ok & pt.join_ok)))
+    below = np.flatnonzero(~leq[:, pt.meet[a, b]])
+    above = np.flatnonzero(~leq[pt.join[a, b]])
+    if below.size and above.size:
+        extra = leq.copy()
+        extra[rng.choice(below), [a, b]] = True
+        extra[[a, b], rng.choice(above)] = True
+        out.append((extra, None))
+    return out
+
+
+class TestPairTables:
+    @pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
+    def test_matches_oracle(self, curated_pq, swap_ring, t2z2, block):
+        # Every pair with a common upper bound, on the true order and on
+        # orders perturbed in the memo, at block sizes that put one pair row,
+        # a few rows or every row in one gathered block.
+        rng = np.random.default_rng(block)
+        found = set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "_BLOCK", block)
+            for r in [s for s in curated_pq if s.order <= 30] + [swap_ring, t2z2]:
+                t = ring_tables(r)
+                covers = analysis.cover_ids(r)
+                relations = [(np.array(order.leq_matrix(r)), None)]
+                if r.order >= 4:
+                    relations += _broken_orders(r, rng)
+                for leq, broken in relations:
+                    s = fresh(r)
+                    s._memo["leq_matrix"] = leq
+                    if broken:
+                        assert not getattr(order.build_order(s).diagnostics, broken).holds
+                    pt = order.pair_tables(s)
+                    pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
+                    want = oracle_pair_tables(t, pairs, covers.tolist())
+                    assert set(want) == {(int(a), int(b)) for a, b in np.argwhere(pt.cub)}
+                    for (a, b), (m, m_ok, j, j_ok) in want.items():
+                        got = (pt.meet[a, b], pt.meet_ok[a, b], pt.join[a, b], pt.join_ok[a, b])
+                        assert got == (m, m_ok, j, j_ok), (r.label, broken, a, b)
+                        formula = int(r.multiplication[a, covers[b]])
+                        found.add(("scanned" if m != formula else "formula", m_ok))
+        # The formula held, a scan replaced it, and a pair had no glb.
+        assert found >= {("formula", True), ("scanned", True), ("formula", False)}
 
 
 class TestLattice:

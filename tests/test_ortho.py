@@ -5,8 +5,17 @@ import pytest
 
 import starorder as so
 from corpus import fresh
-from helpers import oracle_cancellation, oracle_orthogonal, oracle_segment, ring_tables
-from starorder import analysis, order
+from helpers import (
+    oracle_cancellation,
+    oracle_cancellation_failures,
+    oracle_orthogonal,
+    oracle_segment,
+    ring_tables,
+)
+from starorder import analysis, order, rings
+
+# One (x, z) row per gathered block, a few rows, or every row.
+BLOCKS = (rings._BLOCK, 1, 50)
 
 
 class TestOrthogonal:
@@ -96,25 +105,49 @@ class TestQuasiOrthomodular:
 
     def test_cancellation_matches_oracle(self, curated_pq):
         # With the true orthogonality, and with random pairs of it flipped in
-        # the memo so that cancellation fails: verdict and first witness.
-        rng = random.Random(6)
-        failed = 0
-        for r in [s for s in curated_pq if s.order <= 30]:
-            t = ring_tables(r)
-            n = r.order
-            ortho = {(a, b) for a in range(n) for b in range(n) if oracle_orthogonal(t, a, b)}
-            assert so.cancellation_check(r).witness == oracle_cancellation(t, ortho)
-            s = fresh(r)
-            so.classify(s)  # the p.q.-Baer * gate reads the true relation
-            Z = analysis.zero_product_matrix(s).copy()
-            flips = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, n))}
-            for a, b in flips:
-                Z[a, b] = not Z[a, b]
-            s._memo["zero_product_matrix"] = Z
-            want = oracle_cancellation(t, ortho ^ flips)
-            assert so.cancellation_check(s).witness == want, (r.label, flips)
-            failed += want is not None
-        assert failed
+        # the memo so that cancellation fails: verdict and first witness, the
+        # same flips at each block size.
+        for block in BLOCKS:
+            rng = random.Random(6)
+            failed = 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rings, "_BLOCK", block)
+                for r in [s for s in curated_pq if s.order <= 30]:
+                    t = ring_tables(r)
+                    n = r.order
+                    ortho = {
+                        (a, b) for a in range(n) for b in range(n) if oracle_orthogonal(t, a, b)
+                    }
+                    assert so.cancellation_check(r).witness == oracle_cancellation(t, ortho)
+                    s = fresh(r)
+                    so.classify(s)  # the p.q.-Baer * gate reads the true relation
+                    Z = analysis.zero_product_matrix(s).copy()
+                    count = rng.randint(1, n)
+                    flips = {(rng.randrange(n), rng.randrange(n)) for _ in range(count)}
+                    for a, b in flips:
+                        Z[a, b] = not Z[a, b]
+                    s._memo["zero_product_matrix"] = Z
+                    want = oracle_cancellation(t, ortho ^ flips)
+                    assert so.cancellation_check(s).witness == want, (r.label, flips, block)
+                    failed += want is not None
+            assert failed
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_cancellation_witness_is_first_in_y_then_z(self, block):
+        # On (Z2)^3, elements are bit masks and <= is inclusion. Taking 1 ⊥ 3
+        # and 1 ⊥ 5 but not 1 ⊥ 2 makes x = 1 the first failing x, with the
+        # failing (y, z) = (3, 6), (5, 4) and (5, 6): the row-major first
+        # triple is (1, 3, 6), though (1, 5, 4) comes first with z before y.
+        r = fresh(so.build_product([so.build_modular(2)] * 3))
+        so.classify(r)
+        Z = analysis.zero_product_matrix(r).copy()
+        Z[1, [3, 5]], Z[1, 2] = True, False
+        r._memo["zero_product_matrix"] = Z
+        fails = list(oracle_cancellation_failures(ring_tables(r), set(zip(*np.nonzero(Z)))))
+        assert fails == [(1, 3, 6), (1, 5, 4), (1, 5, 6)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "_BLOCK", block)
+            assert so.cancellation_check(r).witness == (1, 3, 6)
 
 
 class TestInitialSegments:
@@ -274,3 +307,56 @@ def test_every_segment_witness_matches_oracle_on_perturbed_relations():
         S[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
         met |= _segment_witnesses(fresh(src), leq, Z, S)
     assert met == SEGMENT_AXIOMS
+
+
+def test_segment_bounds_scan_where_pair_tables_has_none(monkeypatch):
+    # A partial order on Z6: 0 below all, and 1, 2 below both 4 and 5,
+    # which are incomparable. So 1 and 2 have no join and pair_tables holds
+    # a false ok bit there. Inside [0, 5] = {0, 1, 2, 5}, with complements
+    # 0 <-> 5 and 1 <-> 2, their only upper bound is 5: the segment is
+    # orthomodular only if the scan on the segment order finds it.
+    z6 = fresh(so.build_modular(6))
+    leq = np.eye(6, dtype=bool)
+    leq[0] = True
+    leq[[1, 2, 1, 2], [4, 4, 5, 5]] = True
+    S = np.array(z6.sub_table())
+    S[5] = [5, 2, 1, 3, 4, 0]
+    _segment_witnesses(z6, leq, leq[:, S[5]], S)  # every segment against the oracle
+    assert order.build_order(z6).diagnostics.all_pass
+    pt = order.pair_tables(z6)
+    assert pt.cub[1, 2] and not pt.join_ok[1, 2]
+
+    scanned = []
+    scan = order._least_upper
+
+    def counting(rel, i, j):
+        scanned.append((i, j))
+        return scan(rel, i, j)
+
+    monkeypatch.setattr(order, "_least_upper", counting)
+    seg = so.initial_segment(z6, 5)
+    assert seg.elements == (0, 1, 2, 5)
+    assert seg.orthocomplemented and seg.orthomodular and seg.locality and seg.witness is None
+    assert (1, 2) in scanned  # positions of 1 and 2 in [0, 5]
+
+
+def test_segment_without_its_bottom_or_top():
+    # Perturbed relations can leave 0 or m out of [0, m]. The complement
+    # checks compare with the elements 0 and m, not with the first or last
+    # element of the segment.
+    z5 = fresh(so.build_modular(5))
+    # 0 is not below 4; in [0, 4] = {1, 2, 3, 4} the least element is 1.
+    leq, _, S = _designed_segment(z5, 4, [(1, 2), (1, 3)], [0, 4, 3, 2, 1])
+    leq[0, 4] = False
+    _segment_witnesses(z5, leq, leq[:, S[4]], S)
+    seg = so.initial_segment(z5, 4)
+    assert seg.elements == (1, 2, 3, 4)
+    assert seg.witness == {"axiom": "complement-meet-zero", "elements": [1]}
+    # 4 is not below itself; in [0, 4] = {0, 1, 2, 3} the greatest is 3.
+    z5 = fresh(so.build_modular(5))
+    leq, _, S = _designed_segment(z5, 4, [(0, 3), (1, 3), (2, 3)], [3, 2, 1, 0, 4])
+    leq[4, 4] = False
+    _segment_witnesses(z5, leq, leq[:, S[4]], S)
+    seg = so.initial_segment(z5, 4)
+    assert seg.elements == (0, 1, 2, 3)
+    assert seg.witness == {"axiom": "complement-join-top", "elements": [0]}
