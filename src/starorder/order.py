@@ -8,6 +8,7 @@ scanner for pairs it cannot answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -92,18 +93,20 @@ def cover_leq_matrix(ring: StarRing) -> np.ndarray:
     return ring.memo("cover_leq_matrix", build)
 
 
-def _bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x @ y) > 0 for boolean matrices."""
-    # float32 BLAS is exact here: every count is at most n, far below 2**24.
-    return (x.astype(np.float32) @ y.astype(np.float32)) > 0
+def _counts(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """x @ y for boolean matrices as float32 counts, x @ x.T without y.
+
+    float32 BLAS is exact: every count is at most n < 2**24. Without y both
+    operands share one buffer, so BLAS computes only half of it (syrk)."""
+    xf = x.astype(np.float32)
+    return xf @ (xf.T if y is None else y.astype(np.float32))
 
 
 def cub_matrix(ring: StarRing) -> np.ndarray:
     """cub[a, b] iff some c satisfies a <= c and b <= c."""
 
     def build():
-        leq = leq_matrix(ring)
-        return _frozen(_bool_product(leq, leq.T))
+        return _frozen(_counts(leq_matrix(ring)) > 0)
 
     return ring.memo("cub_matrix", build)
 
@@ -126,7 +129,7 @@ class OrderDiagnostics:
     antisymmetric: AxiomCheck
     transitive: AxiomCheck
 
-    @property
+    @cached_property  # the fields never change, so the verdict is taken once
     def all_pass(self) -> bool:
         return self.first_failure() is None
 
@@ -169,10 +172,9 @@ def _diagnose(leq: np.ndarray) -> OrderDiagnostics:
     w = _first(leq & leq.T & ~np.eye(n, dtype=bool))
     antisymmetric = AxiomCheck(w is None, w)
 
-    w = _first(_bool_product(leq, leq) & ~leq)
-    if w:
-        a = w[0]
-        w = (a, *_first(leq[a][:, None] & leq & ~leq[a][None, :]))  # [b, c]
+    w = _first((_counts(leq, leq) > 0) & ~leq)
+    if w:  # the first a gives [b, c]
+        w = (w[0], *_first(leq[w[0]][:, None] & leq & ~leq[w[0]]))
     transitive = AxiomCheck(w is None, w)
     return OrderDiagnostics(reflexive, antisymmetric, transitive)
 
@@ -248,10 +250,15 @@ def pair_tables(ring: StarRing) -> PairTables:
         jv = S[A, mv].copy()          # jv[a, b] = (a+b) - mv
         meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
         join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
-        # Rows are the pairs (a, d), d <= a (meet) or a <= d (join), ordered
-        # by a; [k, b]: d bounds a and b, but not the candidate (a, b) value.
-        # An a whose rows span two blocks is reduced in each, and &= joins them.
         for values, ok, T in ((mv, meet_ok, leq), (jv, join_ok, np.ascontiguousarray(leq.T))):
+            if build_order(ring).diagnostics.all_pass:
+                # A common upper bound v of a and b is least iff |up(v)| =
+                # |up(a) ∩ up(b)|, by transitivity; dually for the meet (T = leq).
+                ok &= _counts(T.T) == T.sum(axis=0, dtype=np.float32)[values]
+                continue
+            # Rows are the pairs (a, d), d <= a (meet) or a <= d (join), ordered
+            # by a; [k, b]: d bounds a and b, but not the candidate (a, b) value.
+            # An a whose rows span two blocks is reduced in each, and &= joins them.
             a, d = np.nonzero(T.T)
             for k in _row_blocks(a.size, n):
                 bad = T[d[k]] & ~T.ravel()[(d[k] * n)[:, None] + values[a[k]]]
@@ -353,17 +360,14 @@ def orthogonality_axioms(ring: StarRing) -> CheckResult:
     """Symmetry, downward inheritance, and 0 ⊥ x, checked exhaustively."""
     Z = zero_product_matrix(ring)
     leq = leq_matrix(ring)
-    n = ring.order
     w = _first(Z != Z.T)
     if w:
         return _fail(w, "symmetry")
 
-    def descends(xs):  # [x, y, z]: x <= y and y ⊥ z, but not x ⊥ z
-        return leq[xs][:, :, None] & Z & ~Z[xs][:, None, :]
-
-    w = _first_rows(n, n * n, descends)
+    # [x, z]: some y >= x has y ⊥ z, but not x ⊥ z; the first x gives [y, z].
+    w = _first((_counts(leq, Z) > 0) & ~Z)
     if w:
-        return _fail(w, "descends")
+        return _fail((w[0], *_first(leq[w[0]][:, None] & Z & ~Z[w[0]])), "descends")
     w = _first(~Z[0])
     if w:
         return _fail((0, *w), "zero-orthogonal")
@@ -426,14 +430,13 @@ def quasi_orthomodular_check(ring: StarRing) -> CheckResult:
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
     leq = leq_matrix(ring)
-    n = ring.order
 
     w = _first(Z & ~(pt.cub & pt.join_ok))
     if w:
         return _fail(w, "join-exists")
 
     # Every orthogonal pair has a join now. reached[x, y]: y = x∨z, z ⊥ x.
-    reached = np.zeros((n, n), dtype=bool)
+    reached = np.zeros_like(leq)
     x, z = np.nonzero(Z)
     reached[x, pt.join[x, z]] = True
     w = _first(leq & ~reached)
@@ -584,24 +587,36 @@ def problem2_check(ring: StarRing, include_left: bool = False) -> CheckResult:
     leq = leq_matrix(ring)
     n = ring.order
 
-    def disjoint(kind):  # [a, b]: aR ∩ bR = {0} ("right") or Ra ∩ Rb = {0}
-        nonzero = _ideal_masks(ring, np.arange(n), kind)[:, 1:]
-        return ~_bool_product(nonzero, nonzero.T)
+    # [a, b]: aR ∩ bR = {0}, and Ra ∩ Rb = {0} with include_left
+    kinds = ("right", "left") if include_left else ("right",)
+    nonzero = (_ideal_masks(ring, np.arange(n), k)[:, 1:] for k in kinds)
+    hyp = np.logical_and.reduce([_counts(x) == 0 for x in nonzero])
 
-    hyp = disjoint("right") & disjoint("left") if include_left else disjoint("right")
+    # On a partial order the c above a and b are those above a∨b, so a pair
+    # with a verified join fails iff a+b is not below it. The other pairs
+    # with a common upper bound are scanned over c.
+    scan = hyp & cub_matrix(ring)
+    bad = np.zeros_like(scan)
+    if build_order(ring).diagnostics.all_pass:
+        pt = pair_tables(ring)
+        bad, scan = scan & pt.join_ok & ~leq[A, pt.join], scan & ~pt.join_ok
+    a, b = np.nonzero(scan)
 
-    def fails(a):  # [a, b, c]
-        return leq[a][:, None, :] & leq & ~leq[A[a]] & hyp[a][:, :, None]
+    def fails(a, b):  # [k, c]: a[k], b[k] <= c, but not a[k]+b[k] <= c
+        return leq[a] & leq[b] & ~leq[A[a, b]]
 
-    w = _first_rows(n, n * n, fails)
-    return _fail(w) if w else PASS
+    w = _first_rows(a.size, n, lambda k: fails(a[k], b[k]))
+    if w:
+        bad[a[w[0]], b[w[0]]] = True
+    w = _first(bad)
+    return _fail((*w, *_first(fails(*w)))) if w else PASS
 
 
 def covering_matrix(leq: np.ndarray) -> np.ndarray:
     """b covers a iff a < b with nothing strictly between."""
     n = leq.shape[0]
     strict = leq & ~np.eye(n, dtype=bool)
-    return strict & ~_bool_product(strict, strict)
+    return strict & (_counts(strict, strict) == 0)
 
 
 def hasse_dot(ring: StarRing) -> str:

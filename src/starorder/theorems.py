@@ -84,7 +84,7 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
     w = _first(ef & ef.T & ~np.eye(cps.size, dtype=bool))
     if w:
         return _fail(cps[list(w)], "central-projection-antisymmetry")
-    w = _first(order._bool_product(ef, ef) & ~ef)
+    w = _first((order._counts(ef, ef) > 0) & ~ef)
     if w:
         return _fail(cps[list(w)], "central-projection-transitivity")
     return PASS
@@ -98,7 +98,7 @@ def _check_cover_uniqueness(ring: StarRing) -> CheckResult:
     covers = analysis.cover_ids(ring)
     cps = analysis.central_projection_ids(ring)
     fixes = M[:, cps].T == np.arange(ring.order)        # x·e = x at [e, x]
-    absorbs = ~order._bool_product(M[cps] != 0, Z.T)  # xRy = 0 implies e·y = 0
+    absorbs = order._counts(M[cps] != 0, Z.T) == 0  # xRy = 0 implies e·y = 0
     w = _first(fixes & absorbs & (covers != cps[:, None]))
     if w:
         return _fail((w[1], cps[w[0]]), "cover-uniqueness")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 import starorder as so
 from helpers import is_squarefree
 
@@ -24,3 +26,15 @@ def fresh(ring):
     """A copy of ``ring`` with an empty memo, safe to write perturbed
     derived tables into."""
     return so.build_from_tables(so.ring_to_table_spec(ring))
+
+
+def random_partial_order(n: int, rng: np.random.Generator, density: float) -> np.ndarray:
+    """A random partial order on range(n) as a boolean matrix: the
+    reflexive-transitive closure of edges drawn with probability
+    ``density`` along a random linear order, so it stays antisymmetric."""
+    rank = rng.permutation(n)
+    leq = (rng.random((n, n)) < density) & (rank[:, None] < rank[None, :])
+    leq |= np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall: close over paths through k
+        leq |= leq[:, k, None] & leq[None, k, :]
+    return leq

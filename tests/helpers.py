@@ -478,9 +478,9 @@ def oracle_orthogonality_axioms(n, leq, ortho):
     return None
 
 
-def oracle_problem2(t, leq, include_left=False):
-    """The first (a, b, c), row-major, with a <= c, b <= c and aR ∩ bR = {0}
-    (and Ra ∩ Rb = {0} with ``include_left``) but not a+b <= c, or None.
+def oracle_problem2_failures(t, leq, include_left=False):
+    """Every (a, b, c), row-major, with a <= c, b <= c and aR ∩ bR = {0}
+    (and Ra ∩ Rb = {0} with ``include_left``) but not a+b <= c.
     ``leq(a, b)`` is the relation checked."""
     add, mul, star, one = t
     n = len(add)
@@ -491,8 +491,12 @@ def oracle_problem2(t, leq, include_left=False):
             continue
         for c in range(n):
             if leq(a, c) and leq(b, c) and not leq(add[a][b], c):
-                return a, b, c
-    return None
+                yield a, b, c
+
+
+def oracle_problem2(t, leq, include_left=False):
+    """The first triple of ``oracle_problem2_failures``, or None."""
+    return next(oracle_problem2_failures(t, leq, include_left), None)
 
 
 def oracle_annihilator_identity(t, ortho, covers):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import starorder as so
-from corpus import fresh
+from corpus import fresh, random_partial_order
 from starorder import analysis, order, rings
 from starorder.fuzz import _random_table_candidate
 from helpers import (
@@ -16,6 +16,7 @@ from helpers import (
     oracle_leq,
     oracle_leq_pairs,
     oracle_lub,
+    oracle_order_diagnostics,
     oracle_pair_tables,
     ring_tables,
 )
@@ -96,6 +97,28 @@ class TestBuildOrder:
         expected[0, :] = True
         expected[np.arange(n), np.arange(n)] = True
         assert np.array_equal(structure.leq, expected)
+
+    def test_verdict_matches_oracle_on_perturbed_relations(self, curated_pq):
+        # The verdict is stored once per instance; it must still name the
+        # first failing axiom in field order, and the JSON keeps to the fields.
+        rng = random.Random(3)
+        names = ("reflexive", "antisymmetric", "transitive")
+        seen = set()
+        for r in [s for s in curated_pq if 4 <= s.order <= 18] * 3:
+            leq = np.array(order.leq_matrix(r))
+            for _ in range(rng.randint(0, 3)):
+                leq[rng.randrange(r.order), rng.randrange(r.order)] ^= True
+            s = fresh(r)
+            s._memo["leq_matrix"] = leq
+            diag = order.build_order(s).diagnostics
+            want = oracle_order_diagnostics(r.order, lambda a, b: bool(leq[a, b]))
+            first = next(((k, w) for k, w in zip(names, want) if w is not None), None)
+            for _ in range(2):
+                assert diag.first_failure() == first
+                assert diag.all_pass == (first is None)
+            assert list(diag.to_json_dict()) == list(names)
+            seen.add(first and first[0])
+        assert seen == {None, *names}
 
     def test_bottom_and_reflexivity_invariants(self, curated_pq, z4):
         for r in curated_pq[:6] + [z4]:
@@ -321,6 +344,54 @@ class TestPairTables:
                         found.add(("scanned" if m != formula else "formula", m_ok))
         # The formula held, a scan replaced it, and a pair had no glb.
         assert found >= {("formula", True), ("scanned", True), ("formula", False)}
+
+    @pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
+    def test_counting_path_matches_oracle(self, curated_pq, block):
+        # Random partial orders in the memo, unrelated to the ring, so a
+        # formula value often bounds a pair without being its least or
+        # greatest bound: the up-set counts must refuse it and the scan
+        # replace it. A flipped entry that breaks the order axioms sends the
+        # relation to the blocked verification instead. `_counts` is called
+        # twice (meet and join) on the counting path and never on the other.
+        rng = np.random.default_rng(block)
+        found = set()
+        calls = []
+        counts = order._counts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "_BLOCK", block)
+            mp.setattr(order, "_counts", lambda *xy: calls.append(xy) or counts(*xy))
+            for r in [s for s in curated_pq if 4 <= s.order <= 20]:
+                t = ring_tables(r)
+                covers = analysis.cover_ids(r)
+                for density in (0.1, 0.3):
+                    po = random_partial_order(r.order, rng, density)
+                    flip = po.copy()
+                    flip[tuple(rng.integers(r.order, size=2))] ^= True
+                    for leq in (po, flip):
+                        s = fresh(r)
+                        s._memo["leq_matrix"] = leq
+                        path = order.build_order(s).diagnostics.all_pass
+                        calls.clear()
+                        pt = order.pair_tables(s)
+                        assert len(calls) == (2 if path else 0)
+                        pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
+                        want = oracle_pair_tables(t, pairs, covers.tolist())
+                        assert set(want) == {(int(a), int(b)) for a, b in np.argwhere(pt.cub)}
+                        for (a, b), (m, m_ok, j, j_ok) in want.items():
+                            got = (pt.meet[a, b], pt.meet_ok[a, b], pt.join[a, b], pt.join_ok[a, b])
+                            assert got == (m, m_ok, j, j_ok), (r.label, density, path, a, b)
+                            m0 = int(r.multiplication[a, covers[b]])
+                            j0 = int(r.addition[r.addition[a, b], r.negation[m0]])
+                            lower = (m0, a) in pairs and (m0, b) in pairs
+                            upper = (a, j0) in pairs and (b, j0) in pairs
+                            found.add((path, "meet", lower and m != m0, m_ok))
+                            found.add((path, "join", upper and j != j0, j_ok))
+        # On both paths a bounding formula value was replaced by a scanned
+        # one, and the formula held elsewhere.
+        for path in (True, False):
+            for kind in ("meet", "join"):
+                assert {(path, kind, True, True), (path, kind, False, True)} <= found, (path, kind)
+        assert (True, "join", False, False) in found  # a bounded pair with no join
 
 
 class TestLattice:

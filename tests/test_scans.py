@@ -10,13 +10,15 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import starorder as so
-from corpus import fresh
+from corpus import fresh, random_partial_order
 from helpers import (
     oracle_annihilator_identity,
     oracle_cover_remark,
     oracle_order_diagnostics,
     oracle_orthogonality_axioms,
+    oracle_lub,
     oracle_problem2,
+    oracle_problem2_failures,
     ring_tables,
 )
 from starorder import analysis, order, rings, theorems
@@ -99,6 +101,79 @@ def test_scans_match_oracles_on_perturbed_relations(curated_pq, block):
         "cover-scaling",
         "central-projection-order",
     }
+
+
+@pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
+def test_problem2_and_descends_on_random_partial_orders(curated_pq, block):
+    # Random partial orders and symmetric orthogonality relations in the
+    # memo. Problem 2 decides a pair with a join by a+b <= a∨b and scans
+    # the bounded pairs without one, so the first failing pair may come
+    # from either; "descends" scans only its first x for (y, z).
+    rng = np.random.default_rng(11)  # the same relations at every block size
+    met = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_BLOCK", block)
+        for r in [r for r in curated_pq if 6 <= r.order <= 18]:
+            t = ring_tables(r)
+            n = r.order
+            for density in (0.1, 0.25, 0.4):
+                leq = random_partial_order(n, rng, density)
+                Z = np.triu(rng.random((n, n)) < density / 2)
+                Z |= Z.T
+                s = fresh(r)
+                so.classify(s)
+                s._memo.update(leq_matrix=leq, zero_product_matrix=Z)
+                assert order.build_order(s).diagnostics.all_pass
+                le = lambda a, b: bool(leq[a, b])
+                pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
+                for left in (False, True):
+                    got = order.problem2_check(s, left).witness
+                    assert got == oracle_problem2(t, le, left), (r.label, left)
+                    triples = oracle_problem2_failures(t, le, left)
+                    failing = dict.fromkeys((a, b) for a, b, _ in triples)  # pairs, in order
+                    joined = [oracle_lub(pairs, range(n), a, b) is not None for a, b in failing]
+                    if joined and not joined[0]:
+                        met.add("unjoined first" + ", joined later" * any(joined[1:]))
+                    elif joined:
+                        met.add("joined first")
+                got = _verdict(order.orthogonality_axioms(s))
+                assert got == oracle_orthogonality_axioms(n, le, lambda a, b: bool(Z[a, b]))
+                if got and got[1] == "descends":
+                    x = got[0][0]
+                    several = bool((leq[x][:, None] & Z & ~Z[x]).sum() > 1)
+                    met.add("descends" + ", several (y, z)" * several)
+    assert met >= {
+        "unjoined first, joined later",
+        "joined first",
+        "descends, several (y, z)",
+    }
+
+
+@pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
+def test_problem2_does_not_judge_an_unjoined_pair_by_its_formula(m2z2, block):
+    # In M2(Z2), a = E11 and b = E21 have aR ∩ bR = {0}, and C(b) = 1, so
+    # the formula join of (a, b) is b. Put a, b and a+b below two
+    # incomparable invertible c1, c2: the pair has no join, every common
+    # upper bound is above a+b, and a+b is not below b. Problem 2 holds.
+    t = ring_tables(m2z2)
+    mul = np.asarray(m2z2.multiplication)
+    n = m2z2.order
+    inv = [x for x in range(n) if (mul[x] == m2z2.one).any()]
+    right = [set(mul[x].tolist()) for x in range(n)]
+    a, b = next((a, b) for a in range(1, n) for b in range(1, n) if right[a] & right[b] == {0})
+    c1, c2 = inv[:2]
+    leq = np.eye(n, dtype=bool)
+    leq[np.ix_([a, b, int(m2z2.addition[a, b])], [c1, c2])] = True
+    s = fresh(m2z2)
+    s._memo["leq_matrix"] = leq
+    assert order.build_order(s).diagnostics.all_pass
+    pt = order.pair_tables(s)
+    assert pt.cub[a, b] and not pt.join_ok[a, b] and pt.join[a, b] == b
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_BLOCK", block)
+        for left in (False, True):
+            want = oracle_problem2(t, lambda x, y: bool(leq[x, y]), left)
+            assert want is None and order.problem2_check(s, left).witness is None
 
 
 @given(
