@@ -24,6 +24,9 @@ from .rings import DEFAULT_ORDER_CAP, realize, spec_from_json
 from .theorems import THEOREM_IDS, run_suite, run_theorem
 
 CAP_ENV_VAR = "STARORDER_ORDER_CAP"
+# The largest cap the variable may set: one n x n int32 table takes 256 MB
+# at n = 8192, and a ring holds several.
+CAP_CEILING = 8192
 
 # The reader of stdout went away (e.g. `| head -1`): the code a shell reports
 # for a process killed by SIGPIPE, 128 + 13, and never 1 ("a check failed").
@@ -56,8 +59,8 @@ def _resolve_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise _InputError("order-cap", f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise _InputError("order-cap", f"{CAP_ENV_VAR} must be >= 1, got {cap}")
+    if not 1 <= cap <= CAP_CEILING:
+        raise _InputError("order-cap", f"{CAP_ENV_VAR} must be in 1..{CAP_CEILING}, got {cap}")
     return cap
 
 

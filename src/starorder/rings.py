@@ -110,11 +110,15 @@ class StarRing:
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    """The row-major first True position of ``mask``, or None. Most masks
-    scanned for a witness are all False, and ``any`` settles those cheaply."""
-    if not mask.any():
+    """The row-major first True position of ``mask``, or None. One
+    ``argmax`` settles it: on a bool mask it stops at the first True, and
+    the entry it points at is False only when no entry is True."""
+    if not mask.size:
         return None
-    return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
+    i = int(mask.argmax())
+    if not mask.item(i):
+        return None
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
 
 
 def _first_rows(n: int, row_size: int, mask_of) -> tuple[int, ...] | None:
@@ -163,6 +167,11 @@ def _generators(
     return gens
 
 
+def _group_generators(add: np.ndarray) -> list[int] | None:
+    """The additive generating set G every ring keeps (|G| <= log2 n)."""
+    return _generators(add, [0], add.shape[0].bit_length())
+
+
 def validate_tables(
     add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int
 ) -> tuple[list[tuple[str, tuple[int, ...]]], list[int] | None]:
@@ -170,9 +179,9 @@ def validate_tables(
 
     Returns ``(violations, G)``: one ``(axiom, witness)`` pair per violated
     axiom, with the lexicographically first witness, and the additive
-    generating set G of ``_generators`` over {0} (|G| <= log2 n; None when
-    none is found). The four triple axioms are proved on G, so an accepted
-    table costs O(|G|·n^2):
+    generating set G of ``_group_generators`` (None when none is found).
+    The four triple axioms are proved on G, so an accepted table costs
+    O(|G|·n^2):
 
     - add-associative (Light's test): the elements ``a`` with
       ``(x+a)+y = x+(a+y)`` for all x, y are closed under +, so testing
@@ -202,7 +211,7 @@ def validate_tables(
     n = add.shape[0]
     idx = np.arange(n)
     bad: list[tuple[str, tuple[int, ...]]] = []
-    gens = _generators(add, [0], n.bit_length())
+    gens = _group_generators(add)
 
     def proved_or_scanned(gs, fail_at, fail, by_row=False):
         # fail_at(g) is the mismatch mask of the axiom's test at generator g.
@@ -279,34 +288,38 @@ def validate_tables(
 
 
 def _make_ring(
-    label: str,
-    add: np.ndarray,
-    mul: np.ndarray,
-    star: np.ndarray,
-    one: int,
-    names: tuple[str, ...] | None = None,
+    label: str, add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int,
+    gens: list[int], names: tuple[str, ...] | None = None,
 ) -> StarRing:
-    add = np.ascontiguousarray(add, dtype=_DT)
-    mul = np.ascontiguousarray(mul, dtype=_DT)
-    star = np.ascontiguousarray(star, dtype=_DT)
+    """A ring over tables that satisfy every axiom, with G = ``gens``: a
+    leaf's tables are validated, a composite's hold by construction."""
+    add, mul, star = (np.ascontiguousarray(t, dtype=_DT) for t in (add, mul, star))
+    neg = np.argmax(add == 0, axis=1).astype(_DT)
+    gens = np.array(gens, dtype=np.intp)
+    return StarRing(
+        label, add.shape[0], _frozen(add), _frozen(mul), _frozen(star), _frozen(neg),
+        _frozen(gens), int(one), names,
+    )
+
+
+def _validated_ring(label: str, add, mul, star, one: int) -> StarRing:
+    """A leaf ring: tables from outside the builders are range-checked and
+    then validated, and the ring keeps the G that validation found."""
     n = add.shape[0]
     if add.shape != (n, n) or mul.shape != (n, n) or star.shape != (n,):
         raise RingSpecError(f"{label}: tables must be {n}x{n} (and star length {n})")
+    # Before the int32 cast, which would wrap an entry of 2^32 + 1 to 1.
     for name, t in (("add", add), ("mul", mul), ("star", star)):
         if t.size and (t.min() < 0 or t.max() >= n):
             raise RingSpecError(f"{label}: {name} table entry out of range")
     one = int(one)
     if not 0 <= one < n:
         raise RingSpecError(f"{label}: one={one} out of range")
+    add, mul, star = (np.ascontiguousarray(t, dtype=_DT) for t in (add, mul, star))
     violations, gens = validate_tables(add, mul, star, one)
     if violations:
         raise TableValidationError(violations)
-    neg = np.argmax(add == 0, axis=1).astype(_DT)
-    gens = np.array(gens, dtype=np.intp)
-    return StarRing(
-        label, n, _frozen(add), _frozen(mul), _frozen(star), _frozen(neg), _frozen(gens),
-        one, names,
-    )
+    return _make_ring(label, add, mul, star, one, gens)
 
 
 def build_modular(n: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
@@ -317,7 +330,7 @@ def build_modular(n: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
     if n > cap:
         raise OrderCapError(f"Z{n} exceeds the order cap {cap}")
     add, mul, one, _ = _cyclic_product_tables([n])
-    return _make_ring(f"Z{n}", add, mul, np.arange(n), one)
+    return _validated_ring(f"Z{n}", add, mul, np.arange(n), one)
 
 
 def _mixed_radix_weights(orders: Sequence[int]) -> list[int]:
@@ -329,18 +342,22 @@ def _mixed_radix_weights(orders: Sequence[int]) -> list[int]:
 
 def _product_tables(orders: Sequence[int], tables) -> tuple[np.ndarray, np.ndarray]:
     """``(out, digits)``: ``out[t]`` is the componentwise product of the
-    parts' t-th tables ``tables[i][t]``, unvalidated. Element x has digit
+    parts' t-th tables ``tables[i][t]``. Element x has digit
     ``digits[x, i]`` in part i: indices are mixed-radix over the parts, the
     first most significant, so the all-zero tuple lands at index 0."""
     w = _mixed_radix_weights(orders)
     ar = np.arange(w[0] * orders[0])
     digits = ar[:, None] // w % np.asarray(orders)
-    # Every entry is below the order, and an n x n table with n >= 2^31
-    # cannot be allocated, so int32 sums do not overflow.
-    out = np.zeros((len(tables[0]), ar.size, ar.size), dtype=_DT)
-    for part, d, wt in zip(tables, digits.T, w):
-        for acc, t in zip(out, part):
-            acc += t[d[:, None], d[None, :]] * wt
+    # From the last part up, part i before the product of the later ones
+    # (order w[i]) is the Kronecker sum t·w[i] ⊕ rest. Every entry is below
+    # the order, and an n x n table with n >= 2^31 cannot be allocated, so
+    # int32 sums do not overflow.
+    out = [np.zeros((1, 1), dtype=_DT)] * len(tables[0])
+    for part, o, wt in zip(reversed(tables), reversed(orders), reversed(w)):
+        out = [
+            ((t * wt)[:, None, :, None] + rest[None, :, None, :]).reshape(o * wt, o * wt)
+            for t, rest in zip(part, out)
+        ]
     return out, digits
 
 
@@ -361,6 +378,8 @@ def build_product(
     """Componentwise product ring; indices are mixed-radix over the parts.
 
     The first part is most significant; the all-zero tuple lands at index 0.
+    The result is not validated: a componentwise product of *-rings is a
+    *-ring, since each axiom is an identity that holds in every component.
     """
     parts = list(parts)
     if not parts:
@@ -381,12 +400,17 @@ def build_product(
         for row in digits
     )
     label = " x ".join(p.label for p in parts)
-    return _make_ring(label, add, mul, star, one, names)
+    return _make_ring(label, add, mul, star, one, _group_generators(add), names)
 
 
 def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
     """k x k matrices over a commutative base; star = entrywise star, then
-    transpose. Indices are row-major mixed-radix over the entries."""
+    transpose. Indices are row-major mixed-radix over the entries.
+
+    The result is not validated: M_k(B) is a ring, and A ↦ (entrywise
+    A*)^T is additive, involutive and reverses products, since
+    ((AB)*)_ij = Σ_l b*_li a*_jl = (B*A*)_ij.
+    """
     k = int(k)
     if k < 1:
         raise RingSpecError(f"matrix dimension must be >= 1, got {k}")
@@ -427,7 +451,7 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
         + "]"
         for x in range(total)
     )
-    return _make_ring(f"M{k}({base.label})", add, mul, star, one, names)
+    return _make_ring(f"M{k}({base.label})", add, mul, star, one, _group_generators(add), names)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +509,9 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
             tables.append(np.array(rows, dtype=np.int64))
         except OverflowError:
             # An entry beyond int64 is out of range too. Entries of n stand
-            # for it, so _make_ring reports the tables in its usual order.
+            # for it, so _validated_ring reports the tables in its usual order.
             tables.append(np.full(np.shape(rows), n))
-    return _make_ring(label, *tables, int(spec.one))
+    return _validated_ring(label, *tables, int(spec.one))
 
 
 def _int_field(obj: dict, key: str) -> int:

@@ -73,6 +73,41 @@ def mat2_tables(p: int):
     return add, mul, star, enc((1, 0, 0, 1))
 
 
+def matrix_tables(t, k: int):
+    """k x k matrices over the commutative ring with tables t, star =
+    entrywise star then transpose; row-major digits, first entry most
+    significant (``mat2_tables(p)`` is ``matrix_tables(zn_tables(p), 2)``)."""
+    add, mul, star, one = t
+    p, cells = len(add), k * k
+    n = p**cells
+
+    def dec(i):
+        d = []
+        for _ in range(cells):
+            d.append(i % p)
+            i //= p
+        return d[::-1]
+
+    def enc(d):
+        v = 0
+        for x in d:
+            v = v * p + x
+        return v
+
+    def entry(a, b, i, j):
+        s = 0
+        for l in range(k):
+            s = add[s][mul[a[i * k + l]][b[l * k + j]]]
+        return s
+
+    digits = [dec(i) for i in range(n)]
+    cell_ids = [(i, j) for i in range(k) for j in range(k)]
+    add_t = [[enc([add[x][y] for x, y in zip(a, b)]) for b in digits] for a in digits]
+    mul_t = [[enc([entry(a, b, i, j) for i, j in cell_ids]) for b in digits] for a in digits]
+    star_t = [enc([star[a[j * k + i]] for i, j in cell_ids]) for a in digits]
+    return add_t, mul_t, star_t, enc([one if i == j else 0 for i, j in cell_ids])
+
+
 def mat2_index(p: int, a00: int, a01: int, a10: int, a11: int) -> int:
     v = 0
     for x in (a00, a01, a10, a11):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from starorder import theorems
-from starorder.cli import EXIT_BROKEN_PIPE, main
+from starorder.cli import CAP_CEILING, EXIT_BROKEN_PIPE, main
 from starorder.errors import VerificationError
 
 Z6 = '{"type":"modular","n":6}'
@@ -82,10 +82,11 @@ class TestClassify:
             "detail": f"table spec field {field!r} entries must be integers",
         }
 
-    @pytest.mark.parametrize("value", [10**23, -(10**23)])
+    @pytest.mark.parametrize("value", [10**23, -(10**23), 2**32 + 1])
     @pytest.mark.parametrize("field", ["add", "mul", "star"])
     def test_oversized_table_entry_exits_2(self, capsys, field, value):
-        # Beyond int64: the entry cannot even be stored, so it is out of range.
+        # Beyond int64 the entry cannot even be stored, so it is out of range;
+        # 2^32 + 1 is out of range too, though an int32 cast would wrap it to 1.
         spec = {
             "type": "table",
             "order": 2,
@@ -364,6 +365,15 @@ class TestEnvCap:
         code, _, err = run(capsys, "classify", Z6)
         assert code == 2
         assert json.loads(err)["error"] == "order-cap"
+
+    def test_cap_above_ceiling_refused(self, capsys, monkeypatch):
+        # Refused before anything is built, so a tiny ring shows it.
+        monkeypatch.setenv("STARORDER_ORDER_CAP", str(CAP_CEILING + 1))
+        code, out, err = run(capsys, "classify", Z6)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "order-cap"
+        monkeypatch.setenv("STARORDER_ORDER_CAP", str(CAP_CEILING))
+        assert run(capsys, "classify", Z6)[0] == 0
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv("STARORDER_ORDER_CAP", "many")
