@@ -170,29 +170,42 @@ def _check_cub_star_identities(ring: StarRing) -> CheckResult:
 
     Each side of the four r-equations is additive in r, so the r where an
     equation holds form a subgroup of (R, +): r ranges over the additive
-    generating set G only, in O(|G|·n^2) rather than O(n^3)."""
+    generating set G only. Two of the equations factor through the
+    zero-product matrix Z (Z[x, y] iff x·r·y = 0 for every r):
+
+    - a*rb = C(a)b*rb for every r iff Z[a* − C(a)b*, b];
+    - arb* = C(a)brb* for every r iff Z[a − C(a)b, b*].
+
+    Proof of the first (the second is the same with a, b* in place of a*,
+    b): by associativity C(a)·(b*·r·b) = (C(a)·b*)·r·b, and by
+    distributivity a*·r·b − (C(a)·b*)·r·b = (a* − C(a)·b*)·r·b. Only the
+    ring axioms are used, not that C(a) is central, so both hold for any
+    cover array. Each costs one lookup per pair. The other two equations
+    compare rows over b: (a*·g)·b with C(b)·(a*·g·a), and (a·g)·b* with
+    C(b)·(a·g·a*), for each g in G, in O(|G|·n^2) in all."""
     M = ring.multiplication
     inv = ring.involution
+    neg = ring.negation
     G = ring.generators
+    Z = analysis.zero_product_matrix(ring)
     covers = analysis.cover_ids(ring)
     cub = order.cub_matrix(ring)
-    n = ring.order
+    n = np.intp(ring.order)  # so a flat index x·n + y cannot overflow int32
     idx = np.arange(n)
-    brb = M[M[inv][:, G].T, idx]           # b*·g·b at [g, b]
-    brbs = M[M[:, G].T, inv]               # b·g·b*
+    Af, Zf = ring.addition.ravel(), Z.ravel()  # T[x, y] is Tf[x·n + y]
+    MCT = np.ascontiguousarray(M[covers].T)  # C(b)·y at [y, b]
+    MsT = np.take(M, inv, axis=1)            # x·b* at [x, b]
 
     def fails(a):  # [a, b]
         as_ = inv[a]
-        i = np.arange(a.size)
-        ca = M[covers[a]]                             # C(a)·x at [a, x]
-        T = M[M[as_][:, G]]                           # a*·g·b at [a, g, b]
-        arbs = M[M[a][:, G]][:, :, inv]               # a·g·b*
-        eq1 = T == ca[i[:, None, None], brb]          # C(a)·(b*·g·b)
-        eq2 = T == M[covers, T[i, :, a][:, :, None]]  # C(b)·(a*·g·a)
-        eq3 = arbs == ca[i[:, None, None], brbs]      # C(a)·(b·g·b*)
-        eq4 = arbs == M[covers, arbs[i, :, a][:, :, None]]  # C(b)·(a·g·a*)
-        ok = (eq1 & eq2 & eq3 & eq4).all(axis=1)
-        asb, absr = M[as_], M[a][:, inv]              # a*·b and a·b* at [a, b]
+        x1 = Af[as_[:, None] * n + neg[MsT[covers[a]]]]        # a* − C(a)·b* at [a, b]
+        x3 = Af[a[:, None] * n + neg[M[covers[a]]]]            # a − C(a)·b
+        ok = Zf[x1 * n + idx]                                  # eq1: Z[x1, b]
+        ok &= Zf[x3 * n + inv]                                 # eq3: Z[x3, b*]
+        asg, ag = M[as_][:, G], M[a][:, G]                     # a*·g, a·g at [a, g]
+        ok &= (M[asg] == MCT[M[asg, a[:, None]]]).all(axis=1)    # eq2
+        ok &= (MsT[ag] == MCT[M[ag, as_[:, None]]]).all(axis=1)  # eq4
+        asb, absr = M[as_], MsT[a]                             # a*·b, a·b* at [a, b]
         ok &= (inv[asb] == asb) & (inv[absr] == absr)
         return cub[a] & ~ok
 

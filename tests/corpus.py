@@ -38,3 +38,14 @@ def random_partial_order(n: int, rng: np.random.Generator, density: float) -> np
     for k in range(n):  # Warshall: close over paths through k
         leq |= leq[:, k, None] & leq[None, k, :]
     return leq
+
+
+def relabelled(ring, perm):
+    """``ring`` with element x renamed perm[x]; perm[0] must be 0."""
+    p = np.asarray(perm)
+    old = np.argsort(p)
+    add, mul = (p[tab[old[:, None], old]] for tab in (ring.addition, ring.multiplication))
+    star = p[ring.involution[old]]
+    return so.build_from_tables(
+        so.TableSpec(ring.order, add.tolist(), mul.tolist(), star.tolist(), 0, int(p[ring.one]))
+    )

@@ -391,33 +391,35 @@ def _product(mul, *xs):
     return v
 
 
+def oracle_cub_star_terms(t, covers, a, b):
+    """The terms of the cub-star identities that fail at the pair (a, b):
+    "eq1" to "eq4" when a*rb = C(a)b*rb, a*rb = C(b)a*ra, arb* = C(a)brb*
+    or arb* = C(b)ara* fails for some r, "sa1" and "sa2" when a*b or ab*
+    is not self-adjoint. ``covers[x]`` is taken as C(x)."""
+    add, mul, star, one = t
+    sa, sb, ca, cb = star[a], star[b], covers[a], covers[b]
+    rs = range(len(add))
+    failing = {
+        "eq1": any(_product(mul, sa, r, b) != _product(mul, ca, sb, r, b) for r in rs),
+        "eq2": any(_product(mul, sa, r, b) != _product(mul, cb, sa, r, a) for r in rs),
+        "eq3": any(_product(mul, a, r, sb) != _product(mul, ca, b, r, sb) for r in rs),
+        "eq4": any(_product(mul, a, r, sb) != _product(mul, cb, a, r, sa) for r in rs),
+        "sa1": star[mul[sa][b]] != mul[sa][b],
+        "sa2": star[mul[a][sb]] != mul[a][sb],
+    }
+    return {term for term, fails in failing.items() if fails}
+
+
 def oracle_cub_star_identities(t, covers):
     """The first pair (a, b), row-major, with a common upper bound at which
-    a*rb = C(a)b*rb = C(b)a*ra or arb* = C(a)brb* = C(b)ara* fails for
-    some r, or a*b or ab* is not self-adjoint; None if no pair fails.
-    ``covers[x]`` is taken as C(x)."""
-    add, mul, star, one = t
-    n = len(add)
+    some term of ``oracle_cub_star_terms`` fails; None if no pair fails."""
+    n = len(t[0])
     pairs = oracle_leq_pairs(t)
     for a in range(n):
         for b in range(n):
-            if not any((a, c) in pairs and (b, c) in pairs for c in range(n)):
-                continue
-            sa, sb, ca, cb = star[a], star[b], covers[a], covers[b]
-            holds = star[mul[sa][b]] == mul[sa][b] and star[mul[a][sb]] == mul[a][sb]
-            for r in range(n):
-                holds = holds and (
-                    _product(mul, sa, r, b)
-                    == _product(mul, ca, sb, r, b)
-                    == _product(mul, cb, sa, r, a)
-                )
-                holds = holds and (
-                    _product(mul, a, r, sb)
-                    == _product(mul, ca, b, r, sb)
-                    == _product(mul, cb, a, r, sa)
-                )
-            if not holds:
-                return a, b
+            if any((a, c) in pairs and (b, c) in pairs for c in range(n)):
+                if oracle_cub_star_terms(t, covers, a, b):
+                    return a, b
     return None
 
 

@@ -169,6 +169,21 @@ class TestGeneratorRestriction:
         for r in (m2z2, t2z2, swap_ring, z4, z2xz3, so.build_modular(1)):
             assert_tables_match_exhaustive(r)
 
+    def test_conrad_relations_are_zero_product_lookups(
+        self, curated_pq, m2z2, m2z3, t2z2, swap_ring, z4
+    ):
+        # a·r·b = a·r·a for every r iff a·r·(b − a) = 0 for every r, by
+        # distributivity: the cub-star check's Z lookups rest on the same
+        # step.
+        for r in curated_pq + [m2z2, m2z3, t2z2, swap_ring, z4]:
+            Z = analysis.zero_product_matrix(r)
+            S = r.sub_table()
+            idx = np.arange(r.order)
+            b_minus_a = S.T  # b − a at [a, b]
+            assert (order.leq_matrix(r) == Z[idx[:, None], b_minus_a]).all(), r.label
+            star = r.involution[:, None]
+            assert (order.star_leq_matrix(r) == Z[star, b_minus_a]).all(), r.label
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_tables_match_exhaustive(self, seed):
         candidate = _random_table_candidate(random.Random(seed), 8)

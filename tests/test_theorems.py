@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import starorder as so
-from corpus import fresh
-from helpers import oracle_cub_star_identities, ring_tables
+from corpus import fresh, relabelled
+from helpers import oracle_cub_star_identities, oracle_cub_star_terms, ring_tables
 from starorder import rings, theorems
 
 EXPECTED_IDS = (
@@ -223,22 +223,59 @@ class TestCubStarIdentities:
 
     def test_perturbed_covers_match_oracle(self, curated_pq, swap_ring, t2z2):
         # Wrong covers written into the memo make the identities fail; the
-        # first witness must still match the oracle, also when the pairs
-        # are scanned in blocks of a single row.
+        # first witness must still match the oracle when the pairs are
+        # scanned in one block, a single row at a time, or a few rows at a
+        # time (so the per-block Z lookups must keep their row offsets).
         rng = random.Random(6)
         failed = 0
         for r in [s for s in curated_pq if s.order <= 30] + [swap_ring, t2z2]:
             t = ring_tables(r)
-            for trial in range(4):
+            for _ in range(4):
                 cov = np.array(so.cover_table(r).cover)
                 for _ in range(rng.randint(1, r.order)):
                     cov[rng.randrange(r.order)] = rng.randrange(r.order)
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(rings, "_BLOCK", (rings._BLOCK, 1)[trial % 2])
-                    s = fresh(r)
-                    s._memo["cover_ids"] = cov
-                    got = theorems._check_cub_star_identities(s)
                 want = oracle_cub_star_identities(t, cov.tolist())
-                assert got.witness == want, (r.label, cov)
+                for block in (rings._BLOCK, 1, 3 * r.generators.size * r.order):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(rings, "_BLOCK", block)
+                        s = fresh(r)
+                        s._memo["cover_ids"] = cov
+                        got = theorems._check_cub_star_identities(s)
+                    assert got.witness == want, (r.label, cov, block)
                 failed += want is not None
         assert failed
+
+    def test_each_term_decides_a_witness(self, m2z2, swap_ring, t2z2):
+        # One cover C(b0) is changed at a time, to every value; the first
+        # witness must match the oracle. Each r-equation is the only failing
+        # term at some witness, so a check that left it out would move that
+        # witness. With only C(0) wrong, eq3 fails at (0, b) exactly where
+        # eq1 fails at (0, b*), so eq3 decides only where b < b*: T2(Z2) is
+        # relabelled for that. eq2 and eq4 (the C(b) terms) decide on
+        # M2(Z2) x Z2. Neither self-adjoint term ever fails alone at a pair
+        # whose four equations hold, on any ring tried, so neither decides.
+        m2z2xz2 = so.build_product([m2z2, so.build_modular(2)])
+        t2z2_relabelled = relabelled(t2z2, (0, 7, 4, 6, 1, 2, 3, 5))
+        cases = (
+            (m2z2, (0, 14, 15)),
+            (swap_ring, (0, 2, 3)),
+            (t2z2, (0, 6, 7)),
+            (t2z2_relabelled, (0, 6, 7)),
+            (m2z2xz2, (25, 31)),
+        )
+        decided = set()
+        for r, b0s in cases:
+            t = ring_tables(r)
+            for b0 in b0s:
+                for v in range(r.order):
+                    cov = np.array(so.cover_table(r).cover)
+                    cov[b0] = v
+                    s = fresh(r)
+                    s._memo["cover_ids"] = cov
+                    got = theorems._check_cub_star_identities(s).witness
+                    want = oracle_cub_star_identities(t, cov.tolist())
+                    assert got == want, (r.label, b0, v)
+                    if want is not None:
+                        terms = oracle_cub_star_terms(t, cov.tolist(), *want)
+                        decided |= terms if len(terms) == 1 else set()
+        assert {"eq1", "eq2", "eq3", "eq4"} <= decided
