@@ -21,7 +21,7 @@ from .errors import (
 from .fuzz import FAMILIES, FuzzConfig, fuzz, structural_specs
 from .order import build_order, hasse_dot, initial_segment
 from .rings import DEFAULT_ORDER_CAP, realize, spec_from_json
-from .theorems import THEOREM_IDS, run_suite, run_theorem
+from .theorems import run_suite, run_theorem
 
 CAP_ENV_VAR = "STARORDER_ORDER_CAP"
 # The largest cap the variable may set: one n x n int32 table takes 256 MB

@@ -133,10 +133,10 @@ class TestBuildOrder:
 
 
 def assert_tables_match_exhaustive(r):
-    """leq_matrix, star_leq_matrix and zero_product_matrix let r range over
-    the additive generating set G; the single-pair forms scan every r. The
-    tables are built at the default block size and in blocks of one row and
-    of a few rows."""
+    """zero_product_matrix lets r range over the additive generating set G,
+    and leq_matrix and star_leq_matrix are read from it; the single-pair
+    forms scan every r. Only Z is built in blocks: at the default block
+    size, and in blocks of one row and of a few rows."""
     want = [
         [[f(r, a, b) for b in r.elements()] for a in r.elements()]
         for f in (so.leq_bruteforce, so.leq_star_bruteforce, so.orthogonal)
@@ -169,20 +169,33 @@ class TestGeneratorRestriction:
         for r in (m2z2, t2z2, swap_ring, z4, z2xz3, so.build_modular(1)):
             assert_tables_match_exhaustive(r)
 
-    def test_conrad_relations_are_zero_product_lookups(
-        self, curated_pq, m2z2, m2z3, t2z2, swap_ring, z4
+    def test_conrad_relations_read_the_memoised_zero_product_table(
+        self, curated_pq, m2z2, t2z2, swap_ring, z4
     ):
         # a·r·b = a·r·a for every r iff a·r·(b − a) = 0 for every r, by
-        # distributivity: the cub-star check's Z lookups rest on the same
-        # step.
-        for r in curated_pq + [m2z2, m2z3, t2z2, swap_ring, z4]:
-            Z = analysis.zero_product_matrix(r)
-            S = r.sub_table()
-            idx = np.arange(r.order)
-            b_minus_a = S.T  # b − a at [a, b]
-            assert (order.leq_matrix(r) == Z[idx[:, None], b_minus_a]).all(), r.label
-            star = r.involution[:, None]
-            assert (order.star_leq_matrix(r) == Z[star, b_minus_a]).all(), r.label
+        # distributivity, so both relations and the order diagnostics follow
+        # whatever Z the memo holds, here one with random entries flipped.
+        rng = random.Random(14)
+        names = ("reflexive", "antisymmetric", "transitive")
+        for r in [t2z2, m2z2, swap_ring, z4] + curated_pq:
+            n = r.order
+            add, _, star, _ = ring_tables(r)
+            b_minus_a = {(a, add[a][x]): x for a in range(n) for x in range(n)}
+            Z = np.array(analysis.zero_product_matrix(r))
+            for _ in range(rng.randint(1, n)):
+                Z[rng.randrange(n), rng.randrange(n)] ^= True
+            s = fresh(r)
+            s._memo["zero_product_matrix"] = Z
+            leq = order.leq_matrix(s).tolist()
+            star_leq = order.star_leq_matrix(s).tolist()
+            for a in range(n):
+                for b in range(n):
+                    c = b_minus_a[a, b]
+                    assert leq[a][b] == Z[a, c], (r.label, a, b)
+                    assert star_leq[a][b] == Z[star[a], c], (r.label, a, b)
+            diag = order.build_order(s).diagnostics
+            want = oracle_order_diagnostics(n, lambda a, b: leq[a][b])
+            assert tuple(getattr(diag, k).witness for k in names) == want, r.label
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_tables_match_exhaustive(self, seed):

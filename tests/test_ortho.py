@@ -8,6 +8,7 @@ from corpus import fresh
 from helpers import (
     oracle_cancellation,
     oracle_cancellation_failures,
+    oracle_leq,
     oracle_orthogonal,
     oracle_segment,
     ring_tables,
@@ -89,6 +90,22 @@ class TestDecomposition:
         with pytest.raises(so.PreconditionError):
             so.orthomodular_decomposition(z6, 1, 2)
 
+    def test_matches_oracle(self, curated_pq, m2z2):
+        # Every a <= b gives b − a, every other pair is refused, on each
+        # ring whose relation is a partial order: the curated corpus, with
+        # M2(Z2) and M2(Z3), and the noncommutative M2(Z2) x Z2. (T2(Z2) and
+        # the swap ring are not partial orders.)
+        for r in curated_pq + [so.build_product([m2z2, so.build_modular(2)])]:
+            assert so.build_order(r).diagnostics.all_pass, r.label
+            t = ring_tables(r)
+            for a in r.elements():
+                for b in r.elements():
+                    if oracle_leq(t, a, b):
+                        assert so.orthomodular_decomposition(r, a, b) == r.sub(b, a)
+                    else:
+                        with pytest.raises(so.PreconditionError):
+                            so.orthomodular_decomposition(r, a, b)
+
 
 class TestQuasiOrthomodular:
     def test_pass_on_carriers(self, z6, z2xz2, m2z2):
@@ -120,7 +137,9 @@ class TestQuasiOrthomodular:
                     }
                     assert so.cancellation_check(r).witness == oracle_cancellation(t, ortho)
                     s = fresh(r)
-                    so.classify(s)  # the p.q.-Baer * gate reads the true relation
+                    # The p.q.-Baer * gate and the order read the true relation.
+                    so.classify(s)
+                    order.pair_tables(s)
                     Z = analysis.zero_product_matrix(s).copy()
                     count = rng.randint(1, n)
                     flips = {(rng.randrange(n), rng.randrange(n)) for _ in range(count)}
@@ -140,6 +159,7 @@ class TestQuasiOrthomodular:
         # triple is (1, 3, 6), though (1, 5, 4) comes first with z before y.
         r = fresh(so.build_product([so.build_modular(2)] * 3))
         so.classify(r)
+        order.pair_tables(r)  # the order reads the true relation
         Z = analysis.zero_product_matrix(r).copy()
         Z[1, [3, 5]], Z[1, 2] = True, False
         r._memo["zero_product_matrix"] = Z
