@@ -2,7 +2,8 @@
 
 `pair_tables` is the one source of meets and joins: `meet`, `join` and
 the glb/lub of each initial segment read it, and `_least_upper` is the one
-scanner for pairs it cannot answer.
+scanner for pairs it cannot answer. Meets and joins are only defined on a
+partial order, so `pair_tables` refuses any other relation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .analysis import (
     zero_product_matrix,
 )
 from .errors import PreconditionError, VerificationError
-from .rings import StarRing, _first, _first_rows, _frozen, _row_blocks
+from .rings import StarRing, _first, _first_rows, _frozen
 
 
 def leq_bruteforce(ring: StarRing, a: int, b: int) -> bool:
@@ -183,22 +184,32 @@ def build_order(ring: StarRing) -> OrderStructure:
     return ring.memo("order_structure", build)
 
 
-def has_cub(ring: StarRing, a: int, b: int, structure: OrderStructure | None = None) -> bool:
+def _partial_order(ring: StarRing) -> OrderStructure:
+    """`build_order(ring)`, refused unless the relation is a partial order.
+
+    Every p.q.-Baer *-ring is semiprime, so its relation is one."""
+    structure = build_order(ring)
+    if not structure.diagnostics.all_pass:
+        name, witness = structure.diagnostics.first_failure()
+        raise PreconditionError(
+            f"{ring.label}: the relation is not a partial order "
+            f"({name} fails at {witness})"
+        )
+    return structure
+
+
+def has_cub(ring: StarRing, a: int, b: int) -> bool:
     """Common-upper-bound test via the cover formula a·C(b) = b·C(a)."""
     a = ring.check(a)
     b = ring.check(b)
     M = ring.multiplication
-    result = int(M[a, central_cover(ring, b)]) == int(M[b, central_cover(ring, a)])
-    if structure is not None and result != bool(structure.cub[a, b]):
-        raise VerificationError(
-            f"{ring.label}: cover formula and upper-bound scan disagree at ({a}, {b})"
-        )
-    return result
+    return int(M[a, central_cover(ring, b)]) == int(M[b, central_cover(ring, a)])
 
 
 @dataclass(frozen=True)
 class PairTables:
-    """Per-pair meet/join values with order-theoretic verification bits.
+    """Per-pair meet/join values with order-theoretic verification bits,
+    for a relation that is a partial order.
 
     ``meet``/``join`` hold a·C(b) and a+b-a·C(b); ``meet_ok``/``join_ok``
     record whether an order-theoretic glb/lub exists (a formula value that
@@ -224,38 +235,27 @@ def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
 
 
 def pair_tables(ring: StarRing) -> PairTables:
+    """Raises `PreconditionError` unless the relation is a partial order."""
+
     def build():
-        n = ring.order
+        structure = _partial_order(ring)
         M = ring.multiplication
         A = ring.addition
         S = ring.sub_table()
-        leq = leq_matrix(ring)
+        leq, cub = structure.leq, structure.cub
         covers = cover_ids(ring)
-        idx = np.arange(n)
+        idx = np.arange(ring.order)
 
         mv = M[:, covers].copy()      # mv[a, b] = a·C(b)
         jv = S[A, mv].copy()          # jv[a, b] = (a+b) - mv
         meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
         join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
-        for values, ok, T in ((mv, meet_ok, leq), (jv, join_ok, np.ascontiguousarray(leq.T))):
-            if build_order(ring).diagnostics.all_pass:
-                # A common upper bound v of a and b is least iff |up(v)| =
-                # |up(a) ∩ up(b)|, by transitivity; dually for the meet (T = leq).
-                ok &= _counts(T.T) == T.sum(axis=0, dtype=np.float32)[values]
-                continue
-            # Rows are the pairs (a, d), d <= a (meet) or a <= d (join), ordered
-            # by a; [k, b]: d bounds a and b, but not the candidate (a, b) value.
-            # An a whose rows span two blocks is reduced in each, and &= joins them.
-            a, d = np.nonzero(T.T)
-            for k in _row_blocks(a.size, n):
-                bad = T[d[k]] & ~T.ravel()[(d[k] * n)[:, None] + values[a[k]]]
-                at = np.flatnonzero(np.diff(a[k], prepend=-1))  # the first row of each a
-                ok[a[k][at]] &= ~np.logical_or.reduceat(bad, at, axis=0)
-
-        cub = cub_matrix(ring)
-        # The formula candidates are expected to verify wherever a common
-        # upper bound exists; fall back to a raw scan where one does not.
+        # A common upper bound v of a and b is least iff |up(v)| = |up(a) ∩
+        # up(b)|, by transitivity; dually for the meet (rel = leq.T). The
+        # formula values are expected to verify wherever a common upper
+        # bound exists; a raw scan replaces those that do not.
         for values, ok, rel in ((mv, meet_ok, leq.T), (jv, join_ok, leq)):
+            ok &= _counts(rel) == rel.sum(axis=1, dtype=np.float32)[values]
             for a, b in np.argwhere(cub & ~ok):
                 v = _least_upper(rel, int(a), int(b))
                 if v is not None:
@@ -276,24 +276,26 @@ def _checked(ring: StarRing, name: str, a: int, b: int, value: int, values, ok) 
 
 
 def meet(ring: StarRing, a: int, b: int) -> int | None:
-    """a∧b = a·C(b), checked against `pair_tables`; None marks no-CUB."""
+    """a∧b = a·C(b), checked against `pair_tables`; None marks no-CUB.
+    Raises `PreconditionError` unless the relation is a partial order."""
     a = ring.check(a)
     b = ring.check(b)
+    pt = pair_tables(ring)
     if not has_cub(ring, a, b):
         return None
-    pt = pair_tables(ring)
     m = int(ring.multiplication[a, central_cover(ring, b)])
     return _checked(ring, "meet", a, b, m, pt.meet, pt.meet_ok)
 
 
 def join(ring: StarRing, a: int, b: int) -> int | None:
-    """a∨b = a+b-a∧b, checked against `pair_tables`; None marks no-CUB."""
+    """a∨b = a+b-a∧b, checked against `pair_tables`; None marks no-CUB.
+    Raises `PreconditionError` unless the relation is a partial order."""
     a = ring.check(a)
     b = ring.check(b)
+    pt = pair_tables(ring)
     m = meet(ring, a, b)
     if m is None:
         return None
-    pt = pair_tables(ring)
     j = int(ring.sub_table()[ring.addition[a, b], m])
     return _checked(ring, "join", a, b, j, pt.join, pt.join_ok)
 
@@ -372,14 +374,16 @@ def ortho_join_check(ring: StarRing) -> CheckResult:
 
 
 def orthomodular_decomposition(ring: StarRing, a: int, b: int) -> int:
-    """For a <= b return c = b - a, verified to rejoin as b = a+c = a∨c.
-    c ⊥ a needs no check: `leq_matrix` reads a <= b as Z[a, c]."""
+    """For a <= b return c = b - a, verified to rejoin as b = a∨c.
+
+    c ⊥ a needs no check: `leq_matrix` reads a <= b as Z[a, c]. Nor does
+    b = a+c: a validated or certified ring satisfies a + (b - a) = b."""
     a = ring.check(a)
     b = ring.check(b)
     if not leq_matrix(ring)[a, b]:
         raise PreconditionError(f"{ring.label}: {a} <= {b} does not hold")
     c = int(ring.sub_table()[b, a])
-    if int(ring.addition[a, c]) != b or join(ring, a, c) != b:
+    if join(ring, a, c) != b:
         raise VerificationError(
             f"{ring.label}: decomposition of {b} over {a} does not rejoin"
         )
@@ -561,29 +565,21 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
 # Problem 2 and the Hasse diagram.
 
 
-def problem2_check(ring: StarRing, include_left: bool = False) -> CheckResult:
-    """a <= c, b <= c, aR ∩ bR = {0} imply a+b <= c, over all triples.
-
-    With ``include_left`` the hypothesis also requires Ra ∩ Rb = {0}.
-    """
+def problem2_check(ring: StarRing) -> CheckResult:
+    """a <= c, b <= c, aR ∩ bR = {0} imply a+b <= c, over all triples."""
     require_pq_baer(ring)
     A = ring.addition
     leq = leq_matrix(ring)
+    pt = pair_tables(ring)
     n = ring.order
 
-    # [a, b]: aR ∩ bR = {0}, and Ra ∩ Rb = {0} with include_left
-    kinds = ("right", "left") if include_left else ("right",)
-    nonzero = (_ideal_masks(ring, np.arange(n), k)[:, 1:] for k in kinds)
-    hyp = np.logical_and.reduce([_counts(x) == 0 for x in nonzero])
+    # [a, b]: aR ∩ bR = {0}, and a and b have a common upper bound
+    hyp = (_counts(_ideal_masks(ring, np.arange(n), "right")[:, 1:]) == 0) & pt.cub
 
-    # On a partial order the c above a and b are those above a∨b, so a pair
-    # with a verified join fails iff a+b is not below it. The other pairs
-    # with a common upper bound are scanned over c.
-    scan = hyp & cub_matrix(ring)
-    bad = np.zeros_like(scan)
-    if build_order(ring).diagnostics.all_pass:
-        pt = pair_tables(ring)
-        bad, scan = scan & pt.join_ok & ~leq[A, pt.join], scan & ~pt.join_ok
+    # The c above a and b are those above a∨b, so a pair with a verified
+    # join fails iff a+b is not below it. The other pairs with a common
+    # upper bound are scanned over c.
+    bad, scan = hyp & pt.join_ok & ~leq[A, pt.join], hyp & ~pt.join_ok
     a, b = np.nonzero(scan)
 
     def fails(a, b):  # [k, c]: a[k], b[k] <= c, but not a[k]+b[k] <= c
@@ -605,13 +601,7 @@ def covering_matrix(leq: np.ndarray) -> np.ndarray:
 
 def hasse_dot(ring: StarRing) -> str:
     """Deterministic DOT rendering of the covering relation."""
-    structure = build_order(ring)
-    if not structure.diagnostics.all_pass:
-        name, witness = structure.diagnostics.first_failure()
-        raise PreconditionError(
-            f"{ring.label}: the relation is not a partial order "
-            f"({name} fails at {witness})"
-        )
+    structure = _partial_order(ring)
     lines = [f'digraph "{ring.label}" {{', "  rankdir=BT;"]
     for i in range(ring.order):
         lines.append(f'  {i} [label="{ring.name_of(i)}"];')

@@ -93,8 +93,9 @@ class TestDecomposition:
     def test_matches_oracle(self, curated_pq, m2z2):
         # Every a <= b gives b − a, every other pair is refused, on each
         # ring whose relation is a partial order: the curated corpus, with
-        # M2(Z2) and M2(Z3), and the noncommutative M2(Z2) x Z2. (T2(Z2) and
-        # the swap ring are not partial orders.)
+        # M2(Z2) and M2(Z3), and the noncommutative M2(Z2) x Z2. (T2(Z2) is
+        # not a partial order; on the swap ring, which is not p.q.-Baer*,
+        # the join formula misfires.)
         for r in curated_pq + [so.build_product([m2z2, so.build_modular(2)])]:
             assert so.build_order(r).diagnostics.all_pass, r.label
             t = ring_tables(r)
@@ -105,6 +106,17 @@ class TestDecomposition:
                     else:
                         with pytest.raises(so.PreconditionError):
                             so.orthomodular_decomposition(r, a, b)
+
+    def test_refused_on_non_orders(self, non_semiprime, t2z2):
+        # These relations are not partial orders, so no pair rejoins
+        # through a join. T2(Z2) has 2 <= 0 with 2 - 0 = 2, among others;
+        # it used to be reported as an internal error (VerificationError).
+        assert so.leq_bruteforce(t2z2, 2, 0)
+        for r in non_semiprime + [t2z2]:
+            for a in r.elements():
+                for b in r.elements():
+                    with pytest.raises(so.PreconditionError):
+                        so.orthomodular_decomposition(r, a, b)
 
 
 class TestQuasiOrthomodular:

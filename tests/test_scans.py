@@ -77,10 +77,13 @@ def test_scans_match_oracles_on_perturbed_relations(curated_pq, block):
             got = _verdict(order.orthogonality_axioms(s))
             assert got == oracle_orthogonality_axioms(n, le, orth), r.label
             met.add(got and got[1])
-            for left in (False, True):
-                got = order.problem2_check(s, left).witness
-                assert got == oracle_problem2(t, le, left), r.label
+            if diag.all_pass:
+                got = order.problem2_check(s).witness
+                assert got == oracle_problem2(t, le), r.label
                 met.add(got and "problem-2")
+            else:  # meets and joins, and so problem 2, need a partial order
+                with pytest.raises(so.PreconditionError, match="not a partial order"):
+                    order.problem2_check(s)
             got = _verdict(analysis.verify_annihilator_identity(s))
             assert got == oracle_annihilator_identity(t, orth, cov.tolist()), r.label
             met.add(got and got[1])
@@ -126,16 +129,15 @@ def test_problem2_and_descends_on_random_partial_orders(curated_pq, block):
                 assert order.build_order(s).diagnostics.all_pass
                 le = lambda a, b: bool(leq[a, b])
                 pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
-                for left in (False, True):
-                    got = order.problem2_check(s, left).witness
-                    assert got == oracle_problem2(t, le, left), (r.label, left)
-                    triples = oracle_problem2_failures(t, le, left)
-                    failing = dict.fromkeys((a, b) for a, b, _ in triples)  # pairs, in order
-                    joined = [oracle_lub(pairs, range(n), a, b) is not None for a, b in failing]
-                    if joined and not joined[0]:
-                        met.add("unjoined first" + ", joined later" * any(joined[1:]))
-                    elif joined:
-                        met.add("joined first")
+                got = order.problem2_check(s).witness
+                assert got == oracle_problem2(t, le), r.label
+                triples = oracle_problem2_failures(t, le)
+                failing = dict.fromkeys((a, b) for a, b, _ in triples)  # pairs, in order
+                joined = [oracle_lub(pairs, range(n), a, b) is not None for a, b in failing]
+                if joined and not joined[0]:
+                    met.add("unjoined first" + ", joined later" * any(joined[1:]))
+                elif joined:
+                    met.add("joined first")
                 got = _verdict(order.orthogonality_axioms(s))
                 assert got == oracle_orthogonality_axioms(n, le, lambda a, b: bool(Z[a, b]))
                 if got and got[1] == "descends":
@@ -171,9 +173,8 @@ def test_problem2_does_not_judge_an_unjoined_pair_by_its_formula(m2z2, block):
     assert pt.cub[a, b] and not pt.join_ok[a, b] and pt.join[a, b] == b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rings, "_BLOCK", block)
-        for left in (False, True):
-            want = oracle_problem2(t, lambda x, y: bool(leq[x, y]), left)
-            assert want is None and order.problem2_check(s, left).witness is None
+        want = oracle_problem2(t, lambda x, y: bool(leq[x, y]))
+        assert want is None and order.problem2_check(s).witness is None
 
 
 @given(
