@@ -3,24 +3,13 @@ central covers, orthomodularity of initial segments, and a theorem suite
 verified by exhaustive enumeration."""
 
 from .analysis import (
-    AnnihilatorResult,
     CentralCoverTable,
     CheckResult,
     ClassificationReport,
-    center,
     central_cover,
-    central_projections,
     classify,
     cover_table,
-    ideal_intersection,
-    idempotents,
-    left_annihilator,
-    principal_right_ideal,
-    projections,
-    right_ann_principal,
-    right_annihilator,
     verify_annihilator_identity,
-    verify_cover_lemma,
 )
 from .errors import (
     ForeignElementError,
@@ -36,20 +25,17 @@ from .order import (
     SegmentPoset,
     build_order,
     cancellation_check,
-    has_cub,
     hasse_dot,
     initial_segment,
     is_lattice,
     is_pseudo_lattice,
     join,
     leq_bruteforce,
-    leq_cover,
     leq_star_bruteforce,
     meet,
     orthogonal,
     orthogonality_axioms,
     ortho_join_check,
-    orthomodular_decomposition,
     problem2_check,
     quasi_orthomodular_check,
     subtractivity_check,

@@ -1,4 +1,5 @@
-"""Projections, annihilators, classification predicates, and central covers."""
+"""Projections, the zero-product matrix, classification predicates, and
+central covers."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError
 from .rings import StarRing, _first, _first_rows, _frozen, _row_blocks
 
 FLAG_NAMES = (
@@ -63,22 +64,6 @@ def center_mask(ring: StarRing) -> np.ndarray:
     return ring.memo("center_mask", build)
 
 
-def idempotents(ring: StarRing) -> frozenset[int]:
-    return frozenset(int(e) for e in np.flatnonzero(idempotent_mask(ring)))
-
-
-def projections(ring: StarRing) -> frozenset[int]:
-    return frozenset(int(e) for e in np.flatnonzero(projection_mask(ring)))
-
-
-def center(ring: StarRing) -> frozenset[int]:
-    return frozenset(int(z) for z in np.flatnonzero(center_mask(ring)))
-
-
-def central_projections(ring: StarRing) -> frozenset[int]:
-    return frozenset(int(e) for e in central_projection_ids(ring))
-
-
 def central_projection_ids(ring: StarRing) -> np.ndarray:
     """Ascending array of central projection ids."""
 
@@ -109,83 +94,22 @@ def zero_product_matrix(ring: StarRing) -> np.ndarray:
     return ring.memo("zero_product_matrix", build)
 
 
-def principal_right_ideal(ring: StarRing, a: int) -> frozenset[int]:
-    """The set aR = {a·r : r in R}."""
-    a = ring.check(a)
-    return frozenset(int(v) for v in np.unique(ring.multiplication[a]))
-
-
-def ideal_intersection(s1: frozenset[int], s2: frozenset[int]) -> frozenset[int]:
-    return frozenset(s1) & frozenset(s2)
-
-
-@dataclass(frozen=True)
-class AnnihilatorResult:
-    """An annihilator ideal plus its generating projection, when one exists."""
-
-    kind: str  # "right" | "left"
-    description: str
-    elements: frozenset[int]
-    principal_projection: int | None
-
-
-def _ideal_masks(ring: StarRing, rows, kind: str) -> np.ndarray:
-    """Row i marks rows[i]·R (``kind`` "right") or R·rows[i] ("left")."""
-    M = ring.multiplication
-    ideals = M[rows] if kind == "right" else M[:, rows].T
+def _ideal_masks(ring: StarRing, rows) -> np.ndarray:
+    """Row i marks the principal right ideal rows[i]·R."""
     masks = np.zeros((len(rows), ring.order), dtype=bool)
-    masks[np.arange(len(rows))[:, None], ideals] = True
+    masks[np.arange(len(rows))[:, None], ring.multiplication[rows]] = True
     return masks
 
 
-def _proj_ideal_masks(ring: StarRing, kind: str) -> dict:
-    """Lookup from the mask bytes of eR (``kind`` "right") or Re ("left")
-    to the projection e. eR = fR forces e = f, so no mask has two."""
+def _proj_ideal_masks(ring: StarRing) -> dict:
+    """Lookup from the mask bytes of eR to the projection e. eR = fR
+    forces e = f, so no mask has two."""
 
     def build():
         projs = np.flatnonzero(projection_mask(ring))
-        masks = _ideal_masks(ring, projs, kind)
-        return {mask.tobytes(): int(e) for mask, e in zip(masks, projs)}
+        return {mask.tobytes(): int(e) for mask, e in zip(_ideal_masks(ring, projs), projs)}
 
-    return ring.memo(f"proj_{kind}_ideal_masks", build)
-
-
-def _match_projection(ring: StarRing, mask: np.ndarray, kind: str) -> int | None:
-    return _proj_ideal_masks(ring, kind).get(mask.tobytes())
-
-
-def _annihilator(ring: StarRing, kind: str, description: str, mask) -> AnnihilatorResult:
-    return AnnihilatorResult(
-        kind,
-        description,
-        frozenset(int(x) for x in np.flatnonzero(mask)),
-        _match_projection(ring, mask, kind),
-    )
-
-
-def _set_annihilator(ring: StarRing, elems, kind: str) -> AnnihilatorResult:
-    B = sorted({ring.check(b) for b in elems})
-    if not B:
-        raise PreconditionError("annihilator of the empty set")
-    M = ring.multiplication
-    mask = (M[B] == 0).all(axis=0) if kind == "right" else (M[:, B] == 0).all(axis=1)
-    return _annihilator(ring, kind, f"{kind[0]}({{{','.join(map(str, B))}}})", mask)
-
-
-def right_annihilator(ring: StarRing, elems) -> AnnihilatorResult:
-    """r_R(B) = {x : b·x = 0 for all b in B}, for nonempty B."""
-    return _set_annihilator(ring, elems, "right")
-
-
-def left_annihilator(ring: StarRing, elems) -> AnnihilatorResult:
-    """l_R(B) = {x : x·b = 0 for all b in B}, for nonempty B."""
-    return _set_annihilator(ring, elems, "left")
-
-
-def right_ann_principal(ring: StarRing, a: int) -> AnnihilatorResult:
-    """r_R(aR): right annihilator of the principal right ideal of a."""
-    a = ring.check(a)
-    return _annihilator(ring, "right", f"r({a}R)", zero_product_matrix(ring)[a])
+    return ring.memo("proj_right_ideal_masks", build)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +223,7 @@ def classify(ring: StarRing) -> ClassificationReport:
             witnesses["abelian"] = (e, *_first(M[e] != M[:, e]))
 
         # Row a of M == 0 is r(a); row a of zp is r(aR).
-        lookup = _proj_ideal_masks(ring, "right")
+        lookup = _proj_ideal_masks(ring)
         rickart_wit = [lookup.get(row.tobytes()) for row in M == 0]
         rickart = None not in rickart_wit
         if not rickart:
@@ -338,56 +262,27 @@ def require_pq_baer(ring: StarRing) -> ClassificationReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Cover lemmas.
-
-
-def verify_cover_lemma(ring: StarRing, x: int, e: int) -> bool:
-    """True iff x·e = x and every y with xRy = 0 satisfies e·y = 0.
-
-    When both conditions hold, e is checked to be the central cover of x;
-    a mismatch would signal a bug and raises.
-    """
-    x = ring.check(x)
-    e = ring.check(e)
-    cps = central_projection_ids(ring)
-    if e not in cps:
-        raise PreconditionError(f"{e} is not a central projection of {ring.label}")
-    M = ring.multiplication
-    if int(M[x, e]) != x:
-        return False
-    kills = M[e] == 0
-    if (zero_product_matrix(ring)[x] & ~kills).any():
-        return False
-    if central_cover(ring, x) != e:
-        raise VerificationError(
-            f"{ring.label}: cover lemma holds at ({x}, {e}) but the computed "
-            f"cover is {central_cover(ring, x)}"
-        )
-    return True
-
-
 def verify_annihilator_identity(ring: StarRing) -> CheckResult:
-    """Check, for every x with cover e, that the six annihilator sets
-    r(xR), r(eR), l(Rx), l(Re), (1-e)R, R(1-e) coincide and that
-    xRy = 0, yRx = 0, and e·y = 0 single out the same y."""
+    """Check, for every x with cover e, that r(xR) coincides with r(eR),
+    l(Rx), l(Re) and (1-e)R.
+
+    The statement also names R(1-e) and {y : ey = 0}; neither can decide a
+    witness. If r(eR), l(Re) and (1-e)R coincide, f = 1 - e lies in both
+    r(eR) and l(Re), so eRf = fRe = 0: then e·f = 0 makes e idempotent, and
+    er = ere = re for every r makes it central. (With the true covers e is
+    a central projection anyway.) For a central idempotent e, R(1-e) =
+    (1-e)R, and eRy = Rey is 0 iff ey = 0, so {y : ey = 0} = r(eR). Either
+    mask differs from r(xR) only where an earlier one does, so the first
+    (x, set, y) and its note are those of the full statement."""
     require_pq_baer(ring)
-    M = ring.multiplication
     Z = zero_product_matrix(ring)
     covers = cover_ids(ring)
     f = ring.sub_table()[ring.one, covers]  # 1 - C(x)
-    tags = ("r(eR)", "l(Rx)", "l(Re)", "(1-e)R", "R(1-e)", "ey=0")
+    tags = ("r(eR)", "l(Rx)", "l(Re)", "(1-e)R")
 
     def differs(xs):  # [x, tag, y]: r(xR) and the tagged set disagree at y
         es = covers[xs]
-        others = (
-            Z[es],
-            Z[:, xs].T,
-            Z[:, es].T,
-            _ideal_masks(ring, f[xs], "right"),
-            _ideal_masks(ring, f[xs], "left"),
-            M[es] == 0,
-        )
+        others = (Z[es], Z[:, xs].T, Z[:, es].T, _ideal_masks(ring, f[xs]))
         return np.stack(others, axis=1) != Z[xs][:, None, :]
 
     w = _first_rows(ring.order, len(tags) * ring.order, differs)

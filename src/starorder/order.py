@@ -18,14 +18,13 @@ from .analysis import (
     PASS,
     _fail,
     _ideal_masks,
-    central_cover,
     cover_ids,
     cover_table,
     CentralCoverTable,
     require_pq_baer,
     zero_product_matrix,
 )
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError
 from .rings import StarRing, _first, _first_rows, _frozen
 
 
@@ -45,13 +44,6 @@ def leq_star_bruteforce(ring: StarRing, a: int, b: int) -> bool:
     M = ring.multiplication
     row = M[M[ring.involution[a]]]
     return bool((row[:, b] == row[:, a]).all())
-
-
-def leq_cover(ring: StarRing, a: int, b: int) -> bool:
-    """a <= b via the cover characterization: a = C(a)·b."""
-    a = ring.check(a)
-    b = ring.check(b)
-    return int(ring.multiplication[central_cover(ring, a), b]) == a
 
 
 def _conrad_matrix(ring: StarRing, key: str, rows: np.ndarray) -> np.ndarray:
@@ -198,14 +190,6 @@ def _partial_order(ring: StarRing) -> OrderStructure:
     return structure
 
 
-def has_cub(ring: StarRing, a: int, b: int) -> bool:
-    """Common-upper-bound test via the cover formula a·C(b) = b·C(a)."""
-    a = ring.check(a)
-    b = ring.check(b)
-    M = ring.multiplication
-    return int(M[a, central_cover(ring, b)]) == int(M[b, central_cover(ring, a)])
-
-
 @dataclass(frozen=True)
 class PairTables:
     """Per-pair meet/join values with order-theoretic verification bits,
@@ -266,38 +250,25 @@ def pair_tables(ring: StarRing) -> PairTables:
     return ring.memo("pair_tables", build)
 
 
-def _checked(ring: StarRing, name: str, a: int, b: int, value: int, values, ok) -> int:
-    if not ok[a, b] or int(values[a, b]) != value:
-        raise VerificationError(
-            f"{ring.label}: {name} formula value {value} is not the order-theoretic "
-            f"{name} of ({a}, {b})"
-        )
-    return value
-
-
 def meet(ring: StarRing, a: int, b: int) -> int | None:
-    """a∧b = a·C(b), checked against `pair_tables`; None marks no-CUB.
-    Raises `PreconditionError` unless the relation is a partial order."""
+    """The glb of a and b read from `pair_tables`: a·C(b) where that value
+    verifies, else a scanned one. None marks a pair with no common upper
+    bound or no glb. On a ring that is not p.q.-Baer * the cover formula
+    can misfire (the swap ring at (1, 2)); the verified glb is returned
+    there. Raises `PreconditionError` unless the relation is a partial
+    order."""
     a = ring.check(a)
     b = ring.check(b)
     pt = pair_tables(ring)
-    if not has_cub(ring, a, b):
-        return None
-    m = int(ring.multiplication[a, central_cover(ring, b)])
-    return _checked(ring, "meet", a, b, m, pt.meet, pt.meet_ok)
+    return int(pt.meet[a, b]) if pt.cub[a, b] & pt.meet_ok[a, b] else None
 
 
 def join(ring: StarRing, a: int, b: int) -> int | None:
-    """a∨b = a+b-a∧b, checked against `pair_tables`; None marks no-CUB.
-    Raises `PreconditionError` unless the relation is a partial order."""
+    """The lub of a and b read from `pair_tables`, as `meet` reads the glb."""
     a = ring.check(a)
     b = ring.check(b)
     pt = pair_tables(ring)
-    m = meet(ring, a, b)
-    if m is None:
-        return None
-    j = int(ring.sub_table()[ring.addition[a, b], m])
-    return _checked(ring, "join", a, b, j, pt.join, pt.join_ok)
+    return int(pt.join[a, b]) if pt.cub[a, b] & pt.join_ok[a, b] else None
 
 
 def is_lattice(ring: StarRing) -> CheckResult:
@@ -371,23 +342,6 @@ def ortho_join_check(ring: StarRing) -> CheckResult:
     good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
     w = _first(Z & ~good)
     return _fail(w) if w else PASS
-
-
-def orthomodular_decomposition(ring: StarRing, a: int, b: int) -> int:
-    """For a <= b return c = b - a, verified to rejoin as b = a∨c.
-
-    c ⊥ a needs no check: `leq_matrix` reads a <= b as Z[a, c]. Nor does
-    b = a+c: a validated or certified ring satisfies a + (b - a) = b."""
-    a = ring.check(a)
-    b = ring.check(b)
-    if not leq_matrix(ring)[a, b]:
-        raise PreconditionError(f"{ring.label}: {a} <= {b} does not hold")
-    c = int(ring.sub_table()[b, a])
-    if join(ring, a, c) != b:
-        raise VerificationError(
-            f"{ring.label}: decomposition of {b} over {a} does not rejoin"
-        )
-    return c
 
 
 def cancellation_check(ring: StarRing) -> CheckResult:
@@ -574,7 +528,7 @@ def problem2_check(ring: StarRing) -> CheckResult:
     n = ring.order
 
     # [a, b]: aR ∩ bR = {0}, and a and b have a common upper bound
-    hyp = (_counts(_ideal_masks(ring, np.arange(n), "right")[:, 1:]) == 0) & pt.cub
+    hyp = (_counts(_ideal_masks(ring, np.arange(n))[:, 1:]) == 0) & pt.cub
 
     # The c above a and b are those above a∨b, so a pair with a verified
     # join fails iff a+b is not below it. The other pairs with a common

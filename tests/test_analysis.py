@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import starorder as so
+from starorder import analysis
 from starorder.fuzz import _random_table_candidate
 from helpers import (
     is_squarefree,
@@ -13,6 +15,7 @@ from helpers import (
     oracle_central_projections,
     oracle_cover,
     oracle_idempotents,
+    oracle_orthogonal,
     oracle_projections,
     oracle_right_annihilator,
     ring_tables,
@@ -25,6 +28,18 @@ E22 = mat2_index(2, 0, 0, 0, 1)
 I2 = mat2_index(2, 1, 0, 0, 1)
 
 
+def ids(mask):
+    """The set of element ids marked in a boolean mask."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def annihilator(r, a):
+    """r(aR), the row of the zero-product matrix, with the projection that
+    generates it from the projection lookup, or None."""
+    row = analysis.zero_product_matrix(r)[a]
+    return ids(row), analysis._proj_ideal_masks(r).get(row.tobytes())
+
+
 def assert_covers_match_oracle(r):
     """Every element has a central cover, and the table holds it."""
     t = ring_tables(r)
@@ -35,116 +50,110 @@ def assert_covers_match_oracle(r):
 
 class TestProjections:
     def test_z6_idempotents(self, z6):
-        assert so.idempotents(z6) == {0, 1, 3, 4}
-        assert so.projections(z6) == {0, 1, 3, 4}
+        assert ids(analysis.idempotent_mask(z6)) == {0, 1, 3, 4}
+        assert ids(analysis.projection_mask(z6)) == {0, 1, 3, 4}
 
     def test_z2_field(self):
-        assert so.idempotents(so.build_modular(2)) == {0, 1}
+        assert ids(analysis.idempotent_mask(so.build_modular(2))) == {0, 1}
 
     def test_z2xz2_all_idempotent(self, z2xz2):
-        assert so.idempotents(z2xz2) == {0, 1, 2, 3}
+        assert ids(analysis.idempotent_mask(z2xz2)) == {0, 1, 2, 3}
 
     def test_m2z2_projections(self, m2z2):
-        projs = so.projections(m2z2)
+        projs = ids(analysis.projection_mask(m2z2))
         assert E11 in projs and E22 in projs
         assert E12 not in projs
 
     def test_zero_ring(self):
-        assert so.projections(so.build_modular(1)) == {0}
+        assert ids(analysis.projection_mask(so.build_modular(1))) == {0}
 
     def test_against_oracle(self, z6, z4, m2z2, swap_ring):
         for r in (z6, z4, m2z2, swap_ring):
             t = ring_tables(r)
-            assert sorted(so.idempotents(r)) == oracle_idempotents(t)
-            assert sorted(so.projections(r)) == oracle_projections(t)
-            assert sorted(so.central_projections(r)) == oracle_central_projections(t)
+            assert np.flatnonzero(analysis.idempotent_mask(r)).tolist() == oracle_idempotents(t)
+            assert np.flatnonzero(analysis.projection_mask(r)).tolist() == oracle_projections(t)
+            cps = analysis.central_projection_ids(r).tolist()
+            assert cps == oracle_central_projections(t)
 
     def test_swap_involution_removes_projections(self, swap_ring):
         # (a,b)* = (b,a) keeps only the symmetric idempotents self-adjoint.
-        assert so.projections(swap_ring) == {0, 3}
+        assert ids(analysis.projection_mask(swap_ring)) == {0, 3}
 
 
 class TestCenter:
     def test_matrix_center_is_scalars(self, m2z2):
-        assert so.central_projections(m2z2) == {0, I2}
+        assert analysis.central_projection_ids(m2z2).tolist() == [0, I2]
 
     def test_commutative_center_is_everything(self, z6):
-        assert so.center(z6) == set(range(6))
-        assert so.central_projections(z6) == {0, 1, 3, 4}
+        assert ids(analysis.center_mask(z6)) == set(range(6))
+        assert analysis.central_projection_ids(z6).tolist() == [0, 1, 3, 4]
 
 
 class TestAnnihilators:
+    # Row a of the zero-product matrix is r(aR), and the projection lookup
+    # names the projection e with r(aR) = eR.
     def test_z6_single_element(self, z6):
-        res = so.right_annihilator(z6, {2})
-        assert res.elements == {0, 3}
-        assert res.principal_projection == 3
+        assert annihilator(z6, 2) == ({0, 3}, 3)
 
     def test_annihilator_of_zero_and_one(self, z6, m2z2):
         for r in (z6, m2z2):
-            res = so.right_annihilator(r, {0})
-            assert res.elements == set(r.elements())
-            assert res.principal_projection == r.one
-            res = so.right_annihilator(r, {r.one})
-            assert res.elements == {0}
-            assert res.principal_projection == 0
+            assert annihilator(r, 0) == (set(r.elements()), r.one)
+            assert annihilator(r, r.one) == ({0}, 0)
 
     def test_z6_principal(self, z6):
-        res = so.right_ann_principal(z6, 4)
-        assert res.elements == {0, 3}
-        assert res.principal_projection == 3
+        assert annihilator(z6, 4) == ({0, 3}, 3)
 
     def test_m2z2_principal_of_nonzero_is_trivial(self, m2z2):
         for a in (E11, E12, 5, I2):
-            res = so.right_ann_principal(m2z2, a)
-            assert res.elements == {0}
-            assert res.principal_projection == 0
-        res = so.right_ann_principal(m2z2, 0)
-        assert res.elements == set(range(16))
-        assert res.principal_projection == I2
+            assert annihilator(m2z2, a) == ({0}, 0)
+        assert annihilator(m2z2, 0) == (set(range(16)), I2)
 
     def test_against_oracle(self, z6, m2z2):
         for r in (z6, m2z2):
             t = ring_tables(r)
             for a in list(r.elements())[:8]:
                 expected = oracle_right_annihilator(t, sorted(set(t[1][a])))
-                assert sorted(so.right_ann_principal(r, a).elements) == expected
+                assert sorted(annihilator(r, a)[0]) == expected
 
     def test_right_ideal_closure(self, z6, m2z2, swap_ring):
         for r in (z6, m2z2, swap_ring):
             for a in r.elements():
-                ann = so.right_ann_principal(r, a).elements
+                ann = annihilator(r, a)[0]
                 for x in ann:
                     for y in ann:
                         assert r.add(x, y) in ann
                     for s in r.elements():
                         assert r.mul(x, s) in ann
 
-    def test_left_annihilator(self, z6, m2z2):
-        assert so.left_annihilator(z6, {2}).elements == {0, 3}
-        res = so.left_annihilator(m2z2, {E12})
-        assert all(m2z2.mul(x, E12) == 0 for x in res.elements)
-        assert res.principal_projection is not None
+    def test_left_annihilator(self, z6, m2z2, t2z2):
+        # Column b of the zero-product matrix is l(Rb); t2z2 tells it from
+        # the row r(bR).
+        assert ids(analysis.zero_product_matrix(z6)[:, 2]) == {0, 3}
+        for r in (m2z2, t2z2):
+            t = ring_tables(r)
+            Z = analysis.zero_product_matrix(r)
+            for b in r.elements():
+                assert ids(Z[:, b]) == {x for x in r.elements() if oracle_orthogonal(t, x, b)}
 
-    def test_left_ideal_closure(self, m2z2):
-        ann = so.left_annihilator(m2z2, {E12}).elements
-        for x in ann:
-            for y in ann:
-                assert m2z2.add(x, y) in ann
-            for s in m2z2.elements():
-                assert m2z2.mul(s, x) in ann
-
-    def test_empty_set_rejected(self, z6):
-        with pytest.raises(so.PreconditionError):
-            so.right_annihilator(z6, set())
+    def test_left_ideal_closure(self, m2z2, t2z2):
+        # Column b of the zero-product matrix is l(Rb), a left ideal.
+        for r in (m2z2, t2z2):
+            Z = analysis.zero_product_matrix(r)
+            for b in r.elements():
+                ann = ids(Z[:, b])
+                for x in ann:
+                    for y in ann:
+                        assert r.add(x, y) in ann
+                    for s in r.elements():
+                        assert r.mul(s, x) in ann
 
     def test_principal_matches_annihilator_of_materialized_ideal(self, z6, m2z2):
         for r in (z6, m2z2):
+            ideals = analysis._ideal_masks(r, np.arange(r.order))
             for a in r.elements():
-                ideal = so.principal_right_ideal(r, a)
-                assert (
-                    so.right_ann_principal(r, a).elements
-                    == so.right_annihilator(r, ideal).elements
-                )
+                assert ids(ideals[a]) == set(r.multiplication[a].tolist())
+                kills = (r.multiplication[ideals[a]] == 0).all(axis=0)
+                assert annihilator(r, a)[0] == ids(kills)
 
 
 class TestClassification:
@@ -237,8 +246,8 @@ class TestClassification:
 
     def test_lookups_against_oracle(self, curated_pq, non_semiprime, swap_ring, t2z2):
         # Every first witness, every r(aR) generator, and the generator of
-        # every one-element left and right annihilator; curated_pq holds
-        # M2(Z2), and t2z2 tells r(aR) from l(Ra).
+        # every one-element right annihilator; curated_pq holds M2(Z2), and
+        # t2z2 tells r(aR) from l(Ra).
         for r in curated_pq + non_semiprime + [swap_ring, t2z2]:
             t = ring_tables(r)
             witnesses, generators = oracle_classification(t)
@@ -246,10 +255,10 @@ class TestClassification:
             keys = ("semiprime", "rickart_star", "pq_baer_star")
             got = {k: v for k, v in report.witnesses.items() if k in keys}
             assert (got, report.pq_baer_witnesses) == (witnesses, generators), r.label
-            right, left = oracle_annihilator_generators(t)
+            right, _ = oracle_annihilator_generators(t)
+            lookup = analysis._proj_ideal_masks(r)
             for a in r.elements():
-                assert so.right_annihilator(r, [a]).principal_projection == right[a]
-                assert so.left_annihilator(r, [a]).principal_projection == left[a]
+                assert lookup.get((r.multiplication[a] == 0).tobytes()) == right[a]
 
 
 class TestCentralCovers:
@@ -263,7 +272,7 @@ class TestCentralCovers:
 
     def test_fixed_points_on_central_projections(self, z6, z4, m2z2):
         for r in (z6, z4, m2z2):
-            for e in so.central_projections(r):
+            for e in analysis.central_projection_ids(r):
                 assert so.central_cover(r, e) == e
 
     def test_cover_fixes_element(self, curated_pq):
@@ -295,7 +304,7 @@ class TestCentralCovers:
 
     def test_covers_are_central_projections(self, z6, z4, m2z2, swap_ring, z2xz3):
         for r in (z6, z4, m2z2, swap_ring, z2xz3):
-            cps = so.central_projections(r)
+            cps = analysis.central_projection_ids(r)
             for x in r.elements():
                 assert so.central_cover(r, x) in cps
 
@@ -305,7 +314,7 @@ class TestCentralCovers:
 
     def test_remark_identities(self, z6, m2z2, z4):
         for r in (z6, m2z2, z4):
-            for e in so.central_projections(r):
+            for e in analysis.central_projection_ids(r):
                 for x in r.elements():
                     cx = so.central_cover(r, x)
                     assert so.central_cover(r, r.mul(e, x)) == r.mul(e, cx)
@@ -313,21 +322,42 @@ class TestCentralCovers:
                 assert so.central_cover(r, r.star(x)) == so.central_cover(r, x)
 
 
+def cover_lemma_holds(r, x, e):
+    """x·e = x, and every y with xRy = 0 has e·y = 0."""
+    Z = analysis.zero_product_matrix(r)
+    return r.mul(x, e) == x and not (Z[x] & (r.multiplication[e] != 0)).any()
+
+
 class TestCoverLemma:
     def test_z6_positive(self, z6):
-        assert so.verify_cover_lemma(z6, 2, 4) is True
+        assert cover_lemma_holds(z6, 2, 4)
         assert so.central_cover(z6, 2) == 4
 
     def test_z6_negative(self, z6):
         # y = 3 has 2R3 = 0 but 1·3 != 0.
-        assert so.verify_cover_lemma(z6, 2, 1) is False
+        assert not cover_lemma_holds(z6, 2, 1)
 
     def test_trivial(self, z6):
-        assert so.verify_cover_lemma(z6, 0, 0) is True
+        assert cover_lemma_holds(z6, 0, 0)
 
-    def test_non_central_projection_rejected(self, z6):
-        with pytest.raises(so.PreconditionError):
-            so.verify_cover_lemma(z6, 2, 2)
+    def test_non_central_projection_rejected(self, m2z2):
+        # The lemma singles out the cover only among central projections:
+        # in M2(Z2) the non-central projection E11 meets both conditions for
+        # x = E11, yet C(E11) = 1. cover-uniqueness never ranges over it.
+        assert cover_lemma_holds(m2z2, E11, E11)
+        assert E11 not in analysis.central_projection_ids(m2z2)
+        assert so.central_cover(m2z2, E11) == I2
+
+    def test_lemma_singles_out_the_cover(self, z6, z4, m2z2, swap_ring, t2z2):
+        # Exhaustively: a central projection satisfying the lemma is the
+        # oracle's cover, and the cover-uniqueness theorem passes.
+        for r in (z6, z4, m2z2, swap_ring, t2z2):
+            t = ring_tables(r)
+            for x in r.elements():
+                for e in oracle_central_projections(t):
+                    if cover_lemma_holds(r, x, e):
+                        assert e == oracle_cover(t, x), (r.label, x, e)
+            assert so.run_theorem(r, "cover-uniqueness").status == "pass"
 
 
 class TestAnnihilatorIdentity:
@@ -341,4 +371,4 @@ class TestAnnihilatorIdentity:
 
     def test_zero_element_annihilates_everything(self, z6):
         # e = C(0) = 0, so all five sets are the whole ring.
-        assert so.right_ann_principal(z6, 0).elements == set(range(6))
+        assert annihilator(z6, 0)[0] == set(range(6))

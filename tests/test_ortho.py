@@ -75,48 +75,54 @@ class TestOrthoJoin:
             so.ortho_join_check(z4)
 
 
+def rejoins(ring, a, b):
+    """c = b − a has a verified join with a, and a∨c = b (read from
+    `pair_tables`)."""
+    pt = order.pair_tables(ring)
+    c = ring.sub(b, a)
+    return bool(pt.cub[a, c] and pt.join_ok[a, c]) and pt.join[a, c] == b
+
+
 class TestDecomposition:
     def test_z6_example(self, z6):
-        c = so.orthomodular_decomposition(z6, 2, 5)
-        assert c == 3
+        assert z6.sub(5, 2) == 3 and rejoins(z6, 2, 5)
         assert so.orthogonal(z6, 2, 3)
 
     def test_trivial_cases(self, z6):
         for a in z6.elements():
-            assert so.orthomodular_decomposition(z6, a, a) == 0
-            assert so.orthomodular_decomposition(z6, 0, a) == a
+            assert rejoins(z6, a, a)
+            assert rejoins(z6, 0, a)
 
     def test_requires_comparability(self, z6):
-        with pytest.raises(so.PreconditionError):
-            so.orthomodular_decomposition(z6, 1, 2)
+        # The decomposition is stated for a <= b only; 1 and 2 are not
+        # comparable in Z6.
+        leq = order.leq_matrix(z6)
+        assert not leq[1, 2] and not leq[2, 1]
 
     def test_matches_oracle(self, curated_pq, m2z2):
-        # Every a <= b gives b − a, every other pair is refused, on each
-        # ring whose relation is a partial order: the curated corpus, with
-        # M2(Z2) and M2(Z3), and the noncommutative M2(Z2) x Z2. (T2(Z2) is
-        # not a partial order; on the swap ring, which is not p.q.-Baer*,
-        # the join formula misfires.)
+        # Every a <= b rejoins from b − a, and the theorem passes, on the
+        # curated corpus, with M2(Z2) and M2(Z3), and the noncommutative
+        # M2(Z2) x Z2.
         for r in curated_pq + [so.build_product([m2z2, so.build_modular(2)])]:
             assert so.build_order(r).diagnostics.all_pass, r.label
             t = ring_tables(r)
+            leq = order.leq_matrix(r)
             for a in r.elements():
                 for b in r.elements():
-                    if oracle_leq(t, a, b):
-                        assert so.orthomodular_decomposition(r, a, b) == r.sub(b, a)
-                    else:
-                        with pytest.raises(so.PreconditionError):
-                            so.orthomodular_decomposition(r, a, b)
+                    assert leq[a, b] == oracle_leq(t, a, b), (r.label, a, b)
+                    if leq[a, b]:
+                        assert rejoins(r, a, b), (r.label, a, b)
+            assert so.run_theorem(r, "ortho-decomposition").status == "pass", r.label
 
     def test_refused_on_non_orders(self, non_semiprime, t2z2):
         # These relations are not partial orders, so no pair rejoins
-        # through a join. T2(Z2) has 2 <= 0 with 2 - 0 = 2, among others;
-        # it used to be reported as an internal error (VerificationError).
+        # through a join: the pair tables are refused, and the theorem is
+        # skipped. T2(Z2) has 2 <= 0 with 2 - 0 = 2, among others.
         assert so.leq_bruteforce(t2z2, 2, 0)
         for r in non_semiprime + [t2z2]:
-            for a in r.elements():
-                for b in r.elements():
-                    with pytest.raises(so.PreconditionError):
-                        so.orthomodular_decomposition(r, a, b)
+            with pytest.raises(so.PreconditionError, match="not a partial order"):
+                order.pair_tables(r)
+            assert so.run_theorem(r, "ortho-decomposition").status == "skipped"
 
 
 class TestQuasiOrthomodular:
