@@ -82,15 +82,6 @@ def _counts(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     return xf @ (xf.T if y is None else y.astype(np.float32))
 
 
-def cub_matrix(ring: StarRing) -> np.ndarray:
-    """cub[a, b] iff some c satisfies a <= c and b <= c."""
-
-    def build():
-        return _frozen(_counts(leq_matrix(ring)) > 0)
-
-    return ring.memo("cub_matrix", build)
-
-
 @dataclass(frozen=True)
 class AxiomCheck:
     holds: bool
@@ -130,8 +121,9 @@ class OrderStructure:
     order: int
     leq: np.ndarray
     diagnostics: OrderDiagnostics
-    cub: np.ndarray
+    cub: np.ndarray  # up > 0: a and b have a common upper bound
     covers: CentralCoverTable
+    up: np.ndarray  # |up(a) ∩ up(b)| at [a, b]: leq @ leq.T in float32
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,7 +136,7 @@ class OrderStructure:
         }
 
 
-def _diagnose(leq: np.ndarray) -> OrderDiagnostics:
+def _diagnose(leq: np.ndarray, up: np.ndarray) -> OrderDiagnostics:
     n = leq.shape[0]
     w = _first(~leq[np.arange(n), np.arange(n)])
     reflexive = AxiomCheck(w is None, w)
@@ -152,7 +144,8 @@ def _diagnose(leq: np.ndarray) -> OrderDiagnostics:
     w = _first(leq & leq.T & ~np.eye(n, dtype=bool))
     antisymmetric = AxiomCheck(w is None, w)
 
-    w = _first((_counts(leq, leq) > 0) & ~leq)
+    # a <= b must give up(b) ⊆ up(a), that is up[a, b] = |up(b)| = up[b, b]
+    w = _first(leq & (up != np.diagonal(up)))
     if w:  # the first a gives [b, c]
         w = (w[0], *_first(leq[w[0]][:, None] & leq & ~leq[w[0]]))
     transitive = AxiomCheck(w is None, w)
@@ -164,13 +157,15 @@ def build_order(ring: StarRing) -> OrderStructure:
 
     def build():
         leq = leq_matrix(ring)
+        up = _frozen(_counts(leq))
         return OrderStructure(
             ring.label,
             ring.order,
             leq,
-            _diagnose(leq),
-            cub_matrix(ring),
+            _diagnose(leq, up),
+            _frozen(up > 0),
             cover_table(ring),
+            up,
         )
 
     return ring.memo("order_structure", build)
@@ -226,20 +221,21 @@ def pair_tables(ring: StarRing) -> PairTables:
         M = ring.multiplication
         A = ring.addition
         S = ring.sub_table()
-        leq, cub = structure.leq, structure.cub
+        leq, cub, up = structure.leq, structure.cub, structure.up
         covers = cover_ids(ring)
         idx = np.arange(ring.order)
 
-        mv = M[:, covers].copy()      # mv[a, b] = a·C(b)
-        jv = S[A, mv].copy()          # jv[a, b] = (a+b) - mv
+        mv = np.take(M, covers, axis=1)  # mv[a, b] = a·C(b)
+        jv = S[A, mv]                     # jv[a, b] = (a+b) - mv
         meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
         join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
         # A common upper bound v of a and b is least iff |up(v)| = |up(a) ∩
-        # up(b)|, by transitivity; dually for the meet (rel = leq.T). The
-        # formula values are expected to verify wherever a common upper
-        # bound exists; a raw scan replaces those that do not.
-        for values, ok, rel in ((mv, meet_ok, leq.T), (jv, join_ok, leq)):
-            ok &= _counts(rel) == rel.sum(axis=1, dtype=np.float32)[values]
+        # up(b)|, by transitivity; dually for the meet (rel = leq.T). |up(v)|
+        # is a diagonal entry. The formula values are expected to verify where
+        # a common upper bound exists; a raw scan replaces those that do not.
+        down = _counts(leq.T)  # |down(a) ∩ down(b)| at [a, b]
+        for values, ok, rel, counts in ((mv, meet_ok, leq.T, down), (jv, join_ok, leq, up)):
+            ok &= counts == np.diagonal(counts)[values]
             for a, b in np.argwhere(cub & ~ok):
                 v = _least_upper(rel, int(a), int(b))
                 if v is not None:
@@ -273,8 +269,7 @@ def join(ring: StarRing, a: int, b: int) -> int | None:
 
 def is_lattice(ring: StarRing) -> CheckResult:
     """Lattice criterion: a·C(b) = b·C(a) for all pairs."""
-    covers = cover_ids(ring)
-    ac = ring.multiplication[:, covers]
+    ac = np.take(ring.multiplication, cover_ids(ring), axis=1)
     w = _first(ac != ac.T)
     return _fail(w) if w else PASS
 

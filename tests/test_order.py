@@ -100,6 +100,9 @@ class TestBuildOrder:
     def test_verdict_matches_oracle_on_perturbed_relations(self, curated_pq):
         # The verdict is stored once per instance; it must still name the
         # first failing axiom in field order, and the JSON keeps to the fields.
+        # Every axiom's witness matches the oracle, so the transitivity
+        # witness, read from the up-set counts, is also checked on relations
+        # that are not reflexive or not antisymmetric.
         rng = random.Random(3)
         names = ("reflexive", "antisymmetric", "transitive")
         seen = set()
@@ -115,9 +118,13 @@ class TestBuildOrder:
             for _ in range(2):
                 assert diag.first_failure() == first
                 assert diag.all_pass == (first is None)
+            assert tuple(getattr(diag, k).witness for k in names) == want
             assert list(diag.to_json_dict()) == list(names)
             seen.add(first and first[0])
-        assert seen == {None, *names}
+            if want[2] and first[0] != "transitive":
+                seen.add("transitive-after-" + first[0])
+        after = {"transitive-after-reflexive", "transitive-after-antisymmetric"}
+        assert seen == {None, *names, *after}
 
     def test_bottom_and_reflexivity_invariants(self, curated_pq, z4):
         for r in curated_pq[:6] + [z4]:
@@ -366,14 +373,25 @@ class TestPairTables:
         # relation was refused.
         assert found >= {("formula", True), ("scanned", True), ("formula", False), "refused"}
 
+    def test_counts_decide_every_pair_of_a_pq_baer_ring(self, curated_pq):
+        # On a p.q.-Baer *-ring the cover formulas give the glb and lub of
+        # every pair with a common upper bound, so the down-set and up-set
+        # counts verify each one and no pair reaches the scan.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(order, "_least_upper", lambda *args: pytest.fail(f"scanned {args[1:]}"))
+            for r in curated_pq:
+                pt = order.pair_tables(fresh(r))
+                assert (pt.meet_ok & pt.join_ok)[pt.cub].all(), r.label
+
     @pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
     def test_counting_path_matches_oracle(self, curated_pq, block):
         # Random partial orders in the memo, unrelated to the ring, so a
         # formula value often bounds a pair without being its least or
         # greatest bound: the up-set counts must refuse it and the scan
         # replace it. A flipped entry that breaks the order axioms is
-        # refused before anything is counted. `_counts` is called twice
-        # (meet and join) on a partial order.
+        # refused before anything more is counted. `build_order` calls
+        # `_counts` once (the up-set counts, which the join half reads) and
+        # `pair_tables` once more (the down-set counts of the meet half).
         rng = np.random.default_rng(block)
         found = set()
         calls = []
@@ -391,16 +409,18 @@ class TestPairTables:
                     for leq in (po, flip):
                         s = fresh(r)
                         s._memo["leq_matrix"] = leq
-                        path = order.build_order(s).diagnostics.all_pass
                         calls.clear()
+                        path = order.build_order(s).diagnostics.all_pass
+                        assert [len(c) for c in calls] == [1] and np.array_equal(calls[0][0], leq)
                         if not path:
                             with pytest.raises(so.PreconditionError, match="not a partial order"):
                                 order.pair_tables(s)
-                            assert not calls
+                            assert len(calls) == 1
                             found.add("refused")
                             continue
                         pt = order.pair_tables(s)
-                        assert len(calls) == 2
+                        assert [len(c) for c in calls] == [1, 1]
+                        assert np.array_equal(calls[1][0], leq.T)
                         pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
                         want = oracle_pair_tables(t, pairs, covers.tolist())
                         assert set(want) == {(int(a), int(b)) for a, b in np.argwhere(pt.cub)}
