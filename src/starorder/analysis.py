@@ -282,7 +282,8 @@ def verify_annihilator_identity(ring: StarRing) -> CheckResult:
 
     def differs(xs):  # [x, tag, y]: r(xR) and the tagged set disagree at y
         es = covers[xs]
-        others = (Z[es], Z[:, xs].T, Z[:, es].T, _ideal_masks(ring, f[xs]))
+        cols = (np.take(Z, ys, axis=1).T for ys in (xs, es))  # l(Rx), l(Re)
+        others = (Z[es], *cols, _ideal_masks(ring, f[xs]))
         return np.stack(others, axis=1) != Z[xs][:, None, :]
 
     w = _first_rows(ring.order, len(tags) * ring.order, differs)

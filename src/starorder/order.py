@@ -193,7 +193,8 @@ class PairTables:
     ``meet``/``join`` hold a·C(b) and a+b-a·C(b); ``meet_ok``/``join_ok``
     record whether an order-theoretic glb/lub exists (a formula value that
     fails is replaced by a scanned one, so a value differing from the
-    formula is itself a finding).
+    formula is itself a finding). ``segments_ok`` certifies every initial
+    segment (see `initial_segment`).
     """
 
     cub: np.ndarray
@@ -201,6 +202,7 @@ class PairTables:
     meet_ok: np.ndarray
     join: np.ndarray
     join_ok: np.ndarray
+    segments_ok: bool
 
 
 def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
@@ -211,6 +213,14 @@ def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
         return None
     w = _first(leq[np.ix_(ub, ub)].all(axis=1))
     return int(ub[w[0]]) if w else None
+
+
+def _segment_certificate(Z, A, cub, meet, meet_ok, join, join_ok) -> bool:
+    """(P) and (O) of `initial_segment`, on the formula tables before any
+    scan. Where (P) holds, no pair is scanned."""
+    return not (cub & ~(meet_ok & join_ok)).any() and not (
+        Z & ~(meet_ok & (meet == 0) & join_ok & (join == A))
+    ).any()
 
 
 def pair_tables(ring: StarRing) -> PairTables:
@@ -234,14 +244,18 @@ def pair_tables(ring: StarRing) -> PairTables:
         # is a diagonal entry. The formula values are expected to verify where
         # a common upper bound exists; a raw scan replaces those that do not.
         down = _counts(leq.T)  # |down(a) ∩ down(b)| at [a, b]
-        for values, ok, rel, counts in ((mv, meet_ok, leq.T, down), (jv, join_ok, leq, up)):
+        halves = ((mv, meet_ok, leq.T, down), (jv, join_ok, leq, up))
+        for values, ok, rel, counts in halves:
             ok &= counts == np.diagonal(counts)[values]
+        Z = zero_product_matrix(ring)
+        certified = _segment_certificate(Z, A, cub, mv, meet_ok, jv, join_ok)
+        for values, ok, rel, counts in halves:
             for a, b in np.argwhere(cub & ~ok):
                 v = _least_upper(rel, int(a), int(b))
                 if v is not None:
                     values[a, b] = v
                     ok[a, b] = True
-        return PairTables(cub, _frozen(mv), _frozen(meet_ok), _frozen(jv), _frozen(join_ok))
+        return PairTables(cub, *map(_frozen, (mv, meet_ok, jv, join_ok)), certified)
 
     return ring.memo("pair_tables", build)
 
@@ -442,15 +456,34 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
 
     ``complement-involution`` is an internal-consistency check: with the
     ring's own subtraction m - (m - a) = a always holds, so it fires only
-    on an inconsistent ``sub_table``."""
+    on an inconsistent ``sub_table``.
+
+    Where ``pt.segments_ok`` holds, every check passes for every m, and
+    none is scanned. x <= y iff Z[x, y - x], and the rows and columns of Z
+    are additive subgroups. The certificate, on the formula tables before
+    any scan: (P) a common upper bound gives a verified meet and join, and
+    (O) Z[a, b] gives meet 0 and join a + b. So Z is symmetric: by (O) a + b
+    bounds b, and b <= a + b is Z[b, a]. And a <= b gives a = b·C(a) ∈ bR:
+    by (P) the formula glb of b and a verifies, and that glb is a. A
+    verified glb or lub of a pair below m is its segment glb or lub. For
+    a <= b <= m put c = b - a and d = m - b, so Z[a, c] and Z[b, d]:
+    - complement-in-segment: m - a <= m is Z[m - a, a], by symmetry.
+    - complement meet and join: a ⊥ m - a, so (O). Involution: arithmetic.
+    - antitone: m - b <= m - a is Z[d, c]. Z[b, d] and a ∈ bR give Z[a, d],
+      so Z[c, d] as column d is a subgroup, and symmetry.
+    - orthogonal joins: m bounds every pair, so (P).
+    - decomposition: take c. Z[c, a] and Z[c, d] give c <= m, Z[a, d]
+      gives a <= m - c, and a∨c = a + c = b by (O).
+    - locality, on any ring: as Z[a, m - a], Z[a, m - a - b] iff Z[a, b]."""
     m = ring.check(m)
     leq = leq_matrix(ring)
     S = ring.sub_table()
+    pt = pair_tables(ring) if build_order(ring).diagnostics.all_pass else None
 
     elems = leq[:, m].nonzero()[0]
     comp_raw = S[m, elems]
     rows = leq[elems]
-    L = rows[:, elems]
+    L = np.take(rows, elems, axis=1)
 
     def make(orthoc, orthom, local, witness):
         return SegmentPoset(
@@ -461,14 +494,15 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     def wit(axiom, parts):
         return {"axiom": axiom, "elements": [int(v) for v in parts]}
 
+    if pt is not None and pt.segments_ok:
+        return make(True, True, True, None)
     w = _first(~leq[comp_raw, m])
     if w:
         return make(False, False, False, wit("complement-in-segment", elems[list(w)]))
 
-    pt = pair_tables(ring) if build_order(ring).diagnostics.all_pass else None
     idx = np.arange(elems.size)
     comp = elems.searchsorted(comp_raw)  # positions of the complements
-    LC = rows[:, comp_raw]               # [i, j]: i <= comp(j)
+    LC = np.take(rows, comp_raw, axis=1)  # [i, j]: i <= comp(j)
 
     def failures():  # (axiom, positions) of the failing checks, in order
         # Orthocomplementation: a∧a' = 0, a∨a' = m, involution, antitone.

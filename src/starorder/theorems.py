@@ -72,7 +72,7 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
         return _fail(cps[list(w)], "cover-of-central-projection")
 
     Mc = M[cps]  # e·x at [e, x]
-    w = _first(covers[Mc] != Mc[:, covers])
+    w = _first(covers[Mc] != np.take(Mc, covers, axis=1))
     if w:
         return _fail((cps[w[0]], w[1]), "cover-scaling")
 
@@ -93,7 +93,7 @@ def _check_cover_uniqueness(ring: StarRing) -> CheckResult:
     Z = analysis.zero_product_matrix(ring)
     covers = analysis.cover_ids(ring)
     cps = analysis.central_projection_ids(ring)
-    fixes = M[:, cps].T == np.arange(ring.order)        # x·e = x at [e, x]
+    fixes = np.take(M, cps, axis=1).T == np.arange(ring.order)  # x·e = x at [e, x]
     absorbs = order._counts(M[cps] != 0, Z.T) == 0  # xRy = 0 implies e·y = 0
     w = _first(fixes & absorbs & (covers != cps[:, None]))
     if w:

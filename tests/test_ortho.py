@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import random
 
 import numpy as np
@@ -14,6 +16,8 @@ from helpers import (
     ring_tables,
 )
 from starorder import analysis, order, rings
+
+fuzz = importlib.import_module("starorder.fuzz")  # the package's ``fuzz`` is the function
 
 # One (x, z) row per gathered block, a few rows, or every row.
 BLOCKS = (rings._BLOCK, 1, 50)
@@ -266,6 +270,74 @@ class TestInitialSegments:
                 assert got == oracle_segment(t, m), (r.label, m)
 
 
+def test_certified_segments_match_the_full_path(curated_pq, swap_ring, monkeypatch):
+    # On a ring whose pair tables certify its segments, no segment bound is
+    # read, and the full path, forced by clearing the certificate, gives the
+    # same segments. The p.q.-Baer * rings are certified; the swap ring, a
+    # partial order that is not p.q.-Baer *, is not, so it takes the full
+    # path either way. Structural rings that are not semiprime, such as Z4,
+    # are not partial orders and are skipped.
+    calls = []
+    bound = order._segment_bound
+    monkeypatch.setattr(order, "_segment_bound", lambda *args: calls.append(1) or bound(*args))
+    config = fuzz.FuzzConfig(16, ("matrix", "modular", "product"), 0, 1)
+    structural = [so.realize(spec) for spec in fuzz.structural_specs(config)]
+    certified = 0
+    for r in [fresh(r) for r in curated_pq + [swap_ring]] + structural:
+        if not order.build_order(r).diagnostics.all_pass:
+            continue
+        pt = order.pair_tables(r)
+        assert pt.segments_ok == so.classify(r).is_pq_baer_star, r.label
+        if pt.segments_ok:  # the two facts the proof derives from (P) and (O)
+            Z = analysis.zero_product_matrix(r)
+            a, b = order.leq_matrix(r).nonzero()
+            assert (Z == Z.T).all() and (pt.meet[b, a] == a).all(), r.label
+        calls.clear()
+        fast = [so.initial_segment(r, m).to_json_dict() for m in r.elements()]
+        assert not calls if pt.segments_ok else calls, r.label
+        certified += pt.segments_ok
+        r._memo["pair_tables"] = dataclasses.replace(pt, segments_ok=False)
+        full = [so.initial_segment(r, m).to_json_dict() for m in r.elements()]
+        assert fast == full, r.label
+    assert certified >= len(curated_pq)
+
+
+def _certificate_terms(Z, A, cub, meet, meet_ok, join, join_ok):
+    """(P) and (O) of the segment certificate, each by a loop over all pairs."""
+    pairs = [(a, b) for a in range(len(Z)) for b in range(len(Z))]
+    return (
+        all(meet_ok[a, b] and join_ok[a, b] for a, b in pairs if cub[a, b]),
+        all(
+            meet_ok[a, b] and meet[a, b] == 0 and join_ok[a, b] and join[a, b] == A[a, b]
+            for a, b in pairs
+            if Z[a, b]
+        ),
+    )
+
+
+def test_each_certificate_term_decides(z6):
+    # One entry changed on Z6 breaks exactly one term, and the certificate
+    # with it: an ok bit that (O) does not read, and a meet that (P) does
+    # not read.
+    pt = order.pair_tables(z6)
+    Z = analysis.zero_product_matrix(z6)
+    base = dict(
+        Z=Z, A=z6.addition, cub=pt.cub, meet=pt.meet,
+        meet_ok=pt.meet_ok, join=pt.join, join_ok=pt.join_ok,
+    )
+    assert pt.segments_ok and order._segment_certificate(**base)
+    assert _certificate_terms(**base) == (True, True)
+    cub_only = tuple(np.argwhere(pt.cub & ~Z)[0])
+    orthogonal = tuple(np.argwhere(Z)[0])
+    for term, (name, at, value) in enumerate(
+        (("meet_ok", cub_only, False), ("meet", orthogonal, 1))
+    ):
+        args = dict(base, **{name: np.array(base[name])})
+        args[name][at] = value
+        assert _certificate_terms(**args) == (term != 0, term != 1), name
+        assert not order._segment_certificate(**args), name
+
+
 SEGMENT_AXIOMS = {
     "complement-in-segment",
     "complement-meet-zero",
@@ -283,6 +355,11 @@ def _segment_witnesses(ring, leq, Z, S):
     every segment against the oracle on the same relations, and return the
     witness axioms met."""
     ring._memo.update(leq_matrix=leq, zero_product_matrix=Z, sub_table=S)
+    # The certificate is proved only for the relations a ring builds itself,
+    # so every segment here takes the full path.
+    if order.build_order(ring).diagnostics.all_pass:
+        pt = order.pair_tables(ring)
+        ring._memo["pair_tables"] = dataclasses.replace(pt, segments_ok=False)
     t = ring_tables(ring)
     met = set()
     for m in ring.elements():
