@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,12 +193,19 @@ def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
 
     return TableSpec(
         n,
-        tuple(tuple(int(x) for x in row) for row in add),
-        tuple(tuple(int(x) for x in row) for row in mul),
-        tuple(int(x) for x in star),
+        tuple(map(tuple, add.tolist())),
+        tuple(map(tuple, mul.tolist())),
+        tuple(star.tolist()),
         0,
         one,
     )
+
+
+def _table_key(spec: TableSpec) -> bytes:
+    """The candidate's exact tables, compactly: every entry is below its
+    order, at most ``RANDOM_TABLE_MAX_ORDER``, and the length fixes it."""
+    rows = chain(spec.add, spec.mul, (spec.star, (spec.one,)))
+    return bytes(chain.from_iterable(rows))
 
 
 def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
@@ -207,6 +215,11 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
     the random-table family fills the remaining budget with validated
     candidates, discarding any that fail validation. A failing theorem
     whose hypotheses were satisfied halts the run.
+
+    Small orders have few relabellings, so most random candidates repeat
+    an earlier one. Every theorem is a function of the tables, so each
+    distinct candidate is validated and checked once, and a repeat reuses
+    its first draw's outcome; the report is the same as without reuse.
     """
     specs = structural_specs(config, cap)
     rng = random.Random(config.seed)
@@ -215,10 +228,10 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
     rings_checked = 0
     halted = False
 
-    def check(ring, spec) -> bool:
+    def check(verdicts, spec) -> bool:
         nonlocal rings_checked, halted
         rings_checked += 1
-        for verdict in run_suite(ring):
+        for verdict in verdicts:
             counts[verdict.status] += 1
             if verdict.status == "fail":
                 failures.append(
@@ -236,17 +249,27 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
     for spec in specs:
         if rings_checked >= config.budget:
             break
-        if not check(realize(spec, cap), spec):
+        if not check(run_suite(realize(spec, cap)), spec):
             break
 
     if "random-table" in config.families and not halted:
+        # Candidate tables -> None if validation rejected them, else their
+        # verdicts. Most rings share one verdict tuple, so each is stored once.
+        outcomes: dict[bytes, tuple | None] = {}
+        interned: dict[tuple, tuple] = {}
         while rings_checked < config.budget:
             candidate = _random_table_candidate(rng, config.max_order)
-            try:
-                ring = realize(candidate, cap)
-            except TableValidationError:
-                continue
-            if not check(ring, candidate):
+            key = _table_key(candidate)
+            if key not in outcomes:
+                try:
+                    ring = realize(candidate, cap)
+                except TableValidationError:
+                    outcomes[key] = None
+                    continue
+                verdicts = tuple(run_suite(ring))
+                outcomes[key] = interned.setdefault(verdicts, verdicts)
+            verdicts = outcomes[key]
+            if verdicts is not None and not check(verdicts, candidate):
                 break
 
     return FuzzReport(config, rings_checked, counts, failures)

@@ -124,6 +124,7 @@ class OrderStructure:
     cub: np.ndarray  # up > 0: a and b have a common upper bound
     covers: CentralCoverTable
     up: np.ndarray  # |up(a) ∩ up(b)| at [a, b]: leq @ leq.T in float32
+    leq_t: np.ndarray  # leq.T, contiguous: row m is the down-set of m
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,6 +167,7 @@ def build_order(ring: StarRing) -> OrderStructure:
             _frozen(up > 0),
             cover_table(ring),
             up,
+            _frozen(np.ascontiguousarray(leq.T)),
         )
 
     return ring.memo("order_structure", build)
@@ -231,7 +233,7 @@ def pair_tables(ring: StarRing) -> PairTables:
         M = ring.multiplication
         A = ring.addition
         S = ring.sub_table()
-        leq, cub, up = structure.leq, structure.cub, structure.up
+        leq, leq_t, cub, up = structure.leq, structure.leq_t, structure.cub, structure.up
         covers = cover_ids(ring)
         idx = np.arange(ring.order)
 
@@ -243,8 +245,8 @@ def pair_tables(ring: StarRing) -> PairTables:
         # up(b)|, by transitivity; dually for the meet (rel = leq.T). |up(v)|
         # is a diagonal entry. The formula values are expected to verify where
         # a common upper bound exists; a raw scan replaces those that do not.
-        down = _counts(leq.T)  # |down(a) ∩ down(b)| at [a, b]
-        halves = ((mv, meet_ok, leq.T, down), (jv, join_ok, leq, up))
+        down = _counts(leq_t)  # |down(a) ∩ down(b)| at [a, b]
+        halves = ((mv, meet_ok, leq_t, down), (jv, join_ok, leq, up))
         for values, ok, rel, counts in halves:
             ok &= counts == np.diagonal(counts)[values]
         Z = zero_product_matrix(ring)
@@ -358,8 +360,7 @@ def cancellation_check(ring: StarRing) -> CheckResult:
     require_pq_baer(ring)
     Z = zero_product_matrix(ring)
     pt = pair_tables(ring)
-    leq = leq_matrix(ring)
-    leqT = np.ascontiguousarray(leq.T)
+    leqT = build_order(ring).leq_t
     xs, zs = np.nonzero(Z & pt.cub & pt.join_ok)  # z ⊥ x with a join x∨z
     js = pt.join[xs, zs]
 
@@ -476,11 +477,12 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
       gives a <= m - c, and a∨c = a + c = b by (O).
     - locality, on any ring: as Z[a, m - a], Z[a, m - a - b] iff Z[a, b]."""
     m = ring.check(m)
-    leq = leq_matrix(ring)
+    structure = build_order(ring)
+    leq = structure.leq
     S = ring.sub_table()
-    pt = pair_tables(ring) if build_order(ring).diagnostics.all_pass else None
+    pt = pair_tables(ring) if structure.diagnostics.all_pass else None
 
-    elems = leq[:, m].nonzero()[0]
+    elems = structure.leq_t[m].nonzero()[0]
     comp_raw = S[m, elems]
     rows = leq[elems]
     L = np.take(rows, elems, axis=1)
@@ -496,7 +498,7 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
 
     if pt is not None and pt.segments_ok:
         return make(True, True, True, None)
-    w = _first(~leq[comp_raw, m])
+    w = _first(~structure.leq_t[m, comp_raw])
     if w:
         return make(False, False, False, wit("complement-in-segment", elems[list(w)]))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import random
@@ -549,6 +550,61 @@ def _factor_lists(n: int) -> list[list[int]]:
     ]
 
 
+def _table_spec(ring) -> so.TableSpec:
+    return so.TableSpec(
+        ring.order, _t(ring.addition), _t(ring.multiplication),
+        tuple(ring.involution.tolist()), 0, ring.one,
+    )
+
+
+def _uncached_fuzz(config):
+    """``fuzz(config)`` without reuse: every drawn ring is realized and
+    checked anew. Returns the random draws, each as (spec, verdicts or None
+    if validation rejected it), and the report's JSON dict."""
+    counts = {"fail": 0, "pass": 0, "skipped": 0}
+    failures, draws = [], []
+
+    def alert(spec, verdicts):
+        for v in verdicts:
+            counts[v.status] += 1
+            if v.status == "fail":
+                failures.append(
+                    {
+                        "spec": so.spec_to_json(spec),
+                        "theorem": v.theorem,
+                        "witness": list(v.witness),
+                        "red_alert": v.hypothesis_met,
+                    }
+                )
+        return any(v.status == "fail" and v.hypothesis_met for v in verdicts)
+
+    checked, halted = 0, False
+    for spec in fuzz.structural_specs(config)[: config.budget]:
+        checked += 1
+        if alert(spec, fuzz.run_suite(so.realize(spec))):
+            halted = True
+            break
+    rng = random.Random(config.seed)
+    while "random-table" in config.families and not halted and checked < config.budget:
+        spec = fuzz._random_table_candidate(rng, config.max_order)
+        try:
+            ring = so.realize(spec)
+        except so.TableValidationError:
+            draws.append((spec, None))
+            continue
+        verdicts = fuzz.run_suite(ring)
+        draws.append((spec, verdicts))
+        checked += 1
+        halted = alert(spec, verdicts)
+    report = {
+        "config": config.to_json_dict(),
+        "rings_checked": checked,
+        "verdict_counts": counts,
+        "failures": failures,
+    }
+    return draws, report
+
+
 class TestRandomCandidates:
     @pytest.mark.parametrize("n", range(1, fuzz.RANDOM_TABLE_MAX_ORDER + 1))
     def test_unvalidated_base_matches_validated_product(self, n):
@@ -568,7 +624,13 @@ class TestRandomCandidates:
                 assert fuzz._random_factorization(rng, n) in _factor_lists(n)
 
     def test_each_candidate_validated_once(self, monkeypatch):
-        calls = {"candidate": 0, "validate": 0}
+        config = fuzz.FuzzConfig(8, ("random-table",), 0, 200)
+        draws, _ = _uncached_fuzz(config)
+        distinct = {spec for spec, _ in draws}
+        accepted = {spec for spec, verdicts in draws if verdicts is not None}
+        rejected = [spec for spec, verdicts in draws if verdicts is None]
+        assert len(accepted) < 200 and len(set(rejected)) < len(rejected)  # repeats
+        calls = {"validate": 0, "suite": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -577,12 +639,48 @@ class TestRandomCandidates:
 
             return wrapper
 
-        monkeypatch.setattr(
-            fuzz, "_random_table_candidate", counted("candidate", fuzz._random_table_candidate)
-        )
         monkeypatch.setattr(rings, "validate_tables", counted("validate", rings.validate_tables))
-        config = fuzz.FuzzConfig(8, ("random-table",), 3, 60)
+        monkeypatch.setattr(fuzz, "run_suite", counted("suite", fuzz.run_suite))
         report = fuzz.fuzz(config)
-        assert report.rings_checked == 60
-        assert calls["candidate"] > 60  # some candidates were corrupted and rejected
-        assert calls["validate"] == calls["candidate"]
+        assert report.rings_checked == 200
+        assert calls["validate"] == len(distinct)
+        assert calls["suite"] == len(accepted)
+
+    @pytest.mark.parametrize(
+        "config",
+        [fuzz.FuzzConfig(8, ("random-table",), seed, 200) for seed in range(5)]
+        + [fuzz.FuzzConfig(16, fuzz.FAMILIES, 7, 300)],  # the golden report's
+    )
+    def test_report_matches_checking_every_draw(self, config):
+        draws, want = _uncached_fuzz(config)
+        assert fuzz.fuzz(config).to_json_dict() == want
+        if config.seed < 4:  # seeds 0-3 draw some rejected candidate twice
+            rejected = [spec for spec, verdicts in draws if verdicts is None]
+            assert len(set(rejected)) < len(rejected)
+
+    def test_red_alert_halts_at_the_first_draw(self, monkeypatch):
+        config = fuzz.FuzzConfig(8, ("random-table",), 0, 200)
+        draws, _ = _uncached_fuzz(config)
+        accepted = [spec for spec, verdicts in draws if verdicts is not None]
+        chosen = max(accepted[1:], key=accepted.count)  # drawn again later
+        assert accepted.index(chosen) > 0 and accepted.count(chosen) > 1
+        run_suite = fuzz.run_suite
+
+        def alerting(ring):
+            verdicts = run_suite(ring)
+            if _table_spec(ring) == chosen:
+                verdicts[0] = dataclasses.replace(
+                    verdicts[0], status="fail", witness=(0,), hypothesis_met=True
+                )
+            return verdicts
+
+        monkeypatch.setattr(fuzz, "run_suite", alerting)
+        report = fuzz.fuzz(config).to_json_dict()
+        assert report == _uncached_fuzz(config)[1]
+        assert report["rings_checked"] == accepted.index(chosen) + 1
+        assert report["failures"][-1] == {
+            "spec": so.spec_to_json(chosen),
+            "theorem": so.THEOREM_IDS[0],
+            "witness": [0],
+            "red_alert": True,
+        }
