@@ -9,7 +9,6 @@ from .analysis import (
     central_cover,
     classify,
     cover_table,
-    verify_annihilator_identity,
 )
 from .errors import (
     ForeignElementError,
@@ -24,7 +23,6 @@ from .order import (
     OrderStructure,
     SegmentPoset,
     build_order,
-    cancellation_check,
     hasse_dot,
     initial_segment,
     is_lattice,
@@ -34,11 +32,6 @@ from .order import (
     leq_star_bruteforce,
     meet,
     orthogonal,
-    orthogonality_axioms,
-    ortho_join_check,
-    problem2_check,
-    quasi_orthomodular_check,
-    subtractivity_check,
 )
 from .rings import (
     DEFAULT_ORDER_CAP,

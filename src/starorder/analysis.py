@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
-from .rings import StarRing, _first, _first_rows, _frozen, _row_blocks
+from .rings import StarRing, _first, _frozen, _row_blocks
 
 FLAG_NAMES = (
     "semiprime",
@@ -252,39 +251,3 @@ def classify(ring: StarRing) -> ClassificationReport:
         )
 
     return ring.memo("classification", build)
-
-
-def require_pq_baer(ring: StarRing) -> ClassificationReport:
-    """The classification of ``ring``, which must be a p.q.-Baer *-ring."""
-    report = classify(ring)
-    if not report.is_pq_baer_star:
-        raise PreconditionError(f"{ring.label} is not a p.q.-Baer *-ring")
-    return report
-
-
-def verify_annihilator_identity(ring: StarRing) -> CheckResult:
-    """Check, for every x with cover e, that r(xR) coincides with r(eR),
-    l(Rx), l(Re) and (1-e)R.
-
-    The statement also names R(1-e) and {y : ey = 0}; neither can decide a
-    witness. If r(eR), l(Re) and (1-e)R coincide, f = 1 - e lies in both
-    r(eR) and l(Re), so eRf = fRe = 0: then e·f = 0 makes e idempotent, and
-    er = ere = re for every r makes it central. (With the true covers e is
-    a central projection anyway.) For a central idempotent e, R(1-e) =
-    (1-e)R, and eRy = Rey is 0 iff ey = 0, so {y : ey = 0} = r(eR). Either
-    mask differs from r(xR) only where an earlier one does, so the first
-    (x, set, y) and its note are those of the full statement."""
-    require_pq_baer(ring)
-    Z = zero_product_matrix(ring)
-    covers = cover_ids(ring)
-    f = ring.sub_table()[ring.one, covers]  # 1 - C(x)
-    tags = ("r(eR)", "l(Rx)", "l(Re)", "(1-e)R")
-
-    def differs(xs):  # [x, tag, y]: r(xR) and the tagged set disagree at y
-        es = covers[xs]
-        cols = (np.take(Z, ys, axis=1).T for ys in (xs, es))  # l(Rx), l(Re)
-        others = (Z[es], *cols, _ideal_masks(ring, f[xs]))
-        return np.stack(others, axis=1) != Z[xs][:, None, :]
-
-    w = _first_rows(ring.order, len(tags) * ring.order, differs)
-    return _fail((w[0], w[2]), f"r(xR) != {tags[w[1]]}") if w else PASS

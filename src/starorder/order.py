@@ -1,4 +1,6 @@
-"""The Conrad relation: diagnostics, meets/joins, orthogonality, segments.
+"""The order structure of the Conrad relation: the relation and its
+diagnostics, meets/joins, the lattice predicates, segments, DOT. The
+theorem checks built on it live in `theorems`.
 
 `pair_tables` is the one source of meets and joins: `meet`, `join` and
 the glb/lub of each initial segment read it, and `_least_upper` is the one
@@ -17,15 +19,13 @@ from .analysis import (
     CheckResult,
     PASS,
     _fail,
-    _ideal_masks,
     cover_ids,
     cover_table,
     CentralCoverTable,
-    require_pq_baer,
     zero_product_matrix,
 )
 from .errors import PreconditionError
-from .rings import StarRing, _first, _first_rows, _frozen
+from .rings import StarRing, _first, _frozen
 
 
 def leq_bruteforce(ring: StarRing, a: int, b: int) -> bool:
@@ -297,104 +297,12 @@ def is_pseudo_lattice(ring: StarRing) -> CheckResult:
     return _fail(w) if w else PASS
 
 
-def subtractivity_check(ring: StarRing) -> tuple[CheckResult, CheckResult | None]:
-    """Forward: a <= b implies C(b-a) = C(b) - C(a), checked on all pairs.
-
-    Returns (forward, biconditional); the biconditional is only evaluated
-    when 2 is invertible, and is None otherwise.
-    """
-    report = require_pq_baer(ring)
-    covers = cover_ids(ring)
-    S = ring.sub_table()
-    leq = leq_matrix(ring)
-    cov_diff = covers[S.T]                      # C(b-a) at [a, b]
-    rhs = S[covers[None, :], covers[:, None]]   # C(b)-C(a) at [a, b]
-    eq = cov_diff == rhs
-    w = _first(leq & ~eq)
-    forward = _fail(w) if w else PASS
-    if not report.is_two_invertible:
-        return forward, None
-    w = _first(eq != leq)
-    bicond = _fail(w) if w else PASS
-    return forward, bicond
-
-
 def orthogonal(ring: StarRing, a: int, b: int) -> bool:
     """a ⊥ b iff a·r·b = 0 for every r."""
     a = ring.check(a)
     b = ring.check(b)
     M = ring.multiplication
     return not M[M[a], b].any()
-
-
-def orthogonality_axioms(ring: StarRing) -> CheckResult:
-    """Symmetry, downward inheritance, and 0 ⊥ x, checked exhaustively."""
-    Z = zero_product_matrix(ring)
-    leq = leq_matrix(ring)
-    w = _first(Z != Z.T)
-    if w:
-        return _fail(w, "symmetry")
-
-    # [x, z]: some y >= x has y ⊥ z, but not x ⊥ z; the first x gives [y, z].
-    w = _first((_counts(leq, Z) > 0) & ~Z)
-    if w:
-        return _fail((w[0], *_first(leq[w[0]][:, None] & Z & ~Z[w[0]])), "descends")
-    w = _first(~Z[0])
-    if w:
-        return _fail((0, *w), "zero-orthogonal")
-    return PASS
-
-
-def ortho_join_check(ring: StarRing) -> CheckResult:
-    """Orthogonal pairs have a common upper bound, meet 0, and join a+b."""
-    require_pq_baer(ring)
-    Z = zero_product_matrix(ring)
-    pt = pair_tables(ring)
-    good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
-    w = _first(Z & ~good)
-    return _fail(w) if w else PASS
-
-
-def cancellation_check(ring: StarRing) -> CheckResult:
-    """x ⊥ y, x ⊥ z, y <= x∨z imply y <= z, over all triples."""
-    require_pq_baer(ring)
-    Z = zero_product_matrix(ring)
-    pt = pair_tables(ring)
-    leqT = build_order(ring).leq_t
-    xs, zs = np.nonzero(Z & pt.cub & pt.join_ok)  # z ⊥ x with a join x∨z
-    js = pt.join[xs, zs]
-
-    def rows(k):  # [k, y]: y ⊥ x and y <= x∨z, but not y <= z
-        return Z[xs[k]] & leqT[js[k]] & ~leqT[zs[k]]
-
-    w = _first_rows(xs.size, ring.order, rows)
-    if not w:
-        return PASS
-    # The rows put z before y: the first failing x is rescanned as [y, z].
-    k = np.flatnonzero(xs == xs[w[0]])
-    y, z = _first(rows(k).T)
-    return _fail((xs[w[0]], y, zs[k[z]]), "cancellation")
-
-
-def quasi_orthomodular_check(ring: StarRing) -> CheckResult:
-    """Orthogonal joins exist, decompositions exist, and cancellation holds."""
-    require_pq_baer(ring)
-    Z = zero_product_matrix(ring)
-    pt = pair_tables(ring)
-    leq = leq_matrix(ring)
-
-    w = _first(Z & ~(pt.cub & pt.join_ok))
-    if w:
-        return _fail(w, "join-exists")
-
-    # Every orthogonal pair has a join now. reached[x, y]: y = x∨z, z ⊥ x.
-    reached = np.zeros_like(leq)
-    x, z = np.nonzero(Z)
-    reached[x, pt.join[x, z]] = True
-    w = _first(leq & ~reached)
-    if w:
-        return _fail(w, "decomposition")
-    return cancellation_check(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -547,34 +455,7 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
 
 
 # ---------------------------------------------------------------------------
-# Problem 2 and the Hasse diagram.
-
-
-def problem2_check(ring: StarRing) -> CheckResult:
-    """a <= c, b <= c, aR ∩ bR = {0} imply a+b <= c, over all triples."""
-    require_pq_baer(ring)
-    A = ring.addition
-    leq = leq_matrix(ring)
-    pt = pair_tables(ring)
-    n = ring.order
-
-    # [a, b]: aR ∩ bR = {0}, and a and b have a common upper bound
-    hyp = (_counts(_ideal_masks(ring, np.arange(n))[:, 1:]) == 0) & pt.cub
-
-    # The c above a and b are those above a∨b, so a pair with a verified
-    # join fails iff a+b is not below it. The other pairs with a common
-    # upper bound are scanned over c.
-    bad, scan = hyp & pt.join_ok & ~leq[A, pt.join], hyp & ~pt.join_ok
-    a, b = np.nonzero(scan)
-
-    def fails(a, b):  # [k, c]: a[k], b[k] <= c, but not a[k]+b[k] <= c
-        return leq[a] & leq[b] & ~leq[A[a, b]]
-
-    w = _first_rows(a.size, n, lambda k: fails(a[k], b[k]))
-    if w:
-        bad[a[w[0]], b[w[0]]] = True
-    w = _first(bad)
-    return _fail((*w, *_first(fails(*w)))) if w else PASS
+# The Hasse diagram.
 
 
 def covering_matrix(leq: np.ndarray) -> np.ndarray:

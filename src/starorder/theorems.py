@@ -101,6 +101,33 @@ def _check_cover_uniqueness(ring: StarRing) -> CheckResult:
     return PASS
 
 
+def _check_annihilator_identity(ring: StarRing) -> CheckResult:
+    """Check, for every x with cover e, that r(xR) coincides with r(eR),
+    l(Rx), l(Re) and (1-e)R.
+
+    The statement also names R(1-e) and {y : ey = 0}; neither can decide a
+    witness. If r(eR), l(Re) and (1-e)R coincide, f = 1 - e lies in both
+    r(eR) and l(Re), so eRf = fRe = 0: then e·f = 0 makes e idempotent, and
+    er = ere = re for every r makes it central. (With the true covers e is
+    a central projection anyway.) For a central idempotent e, R(1-e) =
+    (1-e)R, and eRy = Rey is 0 iff ey = 0, so {y : ey = 0} = r(eR). Either
+    mask differs from r(xR) only where an earlier one does, so the first
+    (x, set, y) and its note are those of the full statement."""
+    Z = analysis.zero_product_matrix(ring)
+    covers = analysis.cover_ids(ring)
+    f = ring.sub_table()[ring.one, covers]  # 1 - C(x)
+    tags = ("r(eR)", "l(Rx)", "l(Re)", "(1-e)R")
+
+    def differs(xs):  # [x, tag, y]: r(xR) and the tagged set disagree at y
+        es = covers[xs]
+        cols = (np.take(Z, ys, axis=1).T for ys in (xs, es))  # l(Rx), l(Re)
+        others = (Z[es], *cols, analysis._ideal_masks(ring, f[xs]))
+        return np.stack(others, axis=1) != Z[xs][:, None, :]
+
+    w = _first_rows(ring.order, len(tags) * ring.order, differs)
+    return _fail((w[0], w[2]), f"r(xR) != {tags[w[1]]}") if w else PASS
+
+
 def _check_order_diagnostics(ring: StarRing) -> CheckResult:
     diag = order.build_order(ring).diagnostics
     failure = diag.first_failure()
@@ -123,13 +150,22 @@ def _check_order_equivalence(ring: StarRing) -> CheckResult:
     return PASS
 
 
+def _cover_subtracts(ring: StarRing) -> np.ndarray:
+    """C(b-a) = C(b) - C(a) at [a, b]."""
+    covers = analysis.cover_ids(ring)
+    S = ring.sub_table()
+    return covers[S.T] == S[covers[None, :], covers[:, None]]
+
+
 def _check_subtractivity_forward(ring: StarRing) -> CheckResult:
-    forward, _ = order.subtractivity_check(ring)
-    if not forward.passed:
-        return CheckResult(False, forward.witness, "cover-subtraction")
+    """a <= b implies C(b-a) = C(b) - C(a), C(a)·C(b) = C(a) and
+    a = a·C(b) = b·C(a), checked on all pairs."""
     M = ring.multiplication
     covers = analysis.cover_ids(ring)
     leq = order.leq_matrix(ring)
+    w = _first(leq & ~_cover_subtracts(ring))
+    if w:
+        return _fail(w, "cover-subtraction")
     idx = np.arange(ring.order)
     cc = M[np.ix_(covers, covers)]  # C(a)·C(b) at [a, b]
     w = _first(leq & (cc != covers[:, None]))
@@ -147,7 +183,9 @@ def _check_subtractivity_forward(ring: StarRing) -> CheckResult:
 
 
 def _check_subtractivity_biconditional(ring: StarRing) -> CheckResult:
-    return order.subtractivity_check(ring)[1]
+    """With 2 invertible, a <= b iff C(b-a) = C(b) - C(a)."""
+    w = _first(_cover_subtracts(ring) != order.leq_matrix(ring))
+    return _fail(w) if w else PASS
 
 
 def _check_cub_characterization(ring: StarRing) -> CheckResult:
@@ -260,12 +298,99 @@ def _check_lattice_characterization(ring: StarRing) -> CheckResult:
 
 
 def _check_problem2(ring: StarRing) -> CheckResult:
-    # The two-sided form only narrows this hypothesis, so it cannot fail
-    # where the right-ideal form passes.
-    result = order.problem2_check(ring)
-    if not result.passed:
-        return CheckResult(False, result.witness, "right-ideal-form")
+    """a <= c, b <= c, aR ∩ bR = {0} imply a+b <= c, over all triples.
+
+    The two-sided form only narrows this hypothesis, so it cannot fail
+    where the right-ideal form passes."""
+    A = ring.addition
+    leq = order.leq_matrix(ring)
+    pt = order.pair_tables(ring)
+    n = ring.order
+
+    # [a, b]: aR ∩ bR = {0}, and a and b have a common upper bound
+    hyp = (order._counts(analysis._ideal_masks(ring, np.arange(n))[:, 1:]) == 0) & pt.cub
+
+    # The c above a and b are those above a∨b, so a pair with a verified
+    # join fails iff a+b is not below it. The other pairs with a common
+    # upper bound are scanned over c.
+    bad, scan = hyp & pt.join_ok & ~leq[A, pt.join], hyp & ~pt.join_ok
+    a, b = np.nonzero(scan)
+
+    def fails(a, b):  # [k, c]: a[k], b[k] <= c, but not a[k]+b[k] <= c
+        return leq[a] & leq[b] & ~leq[A[a, b]]
+
+    w = _first_rows(a.size, n, lambda k: fails(a[k], b[k]))
+    if w:
+        bad[a[w[0]], b[w[0]]] = True
+    w = _first(bad)
+    return _fail((*w, *_first(fails(*w))), "right-ideal-form") if w else PASS
+
+
+def _check_orthogonality_axioms(ring: StarRing) -> CheckResult:
+    """Symmetry, downward inheritance, and 0 ⊥ x, checked exhaustively."""
+    Z = analysis.zero_product_matrix(ring)
+    leq = order.leq_matrix(ring)
+    w = _first(Z != Z.T)
+    if w:
+        return _fail(w, "symmetry")
+
+    # [x, z]: some y >= x has y ⊥ z, but not x ⊥ z; the first x gives [y, z].
+    w = _first((order._counts(leq, Z) > 0) & ~Z)
+    if w:
+        return _fail((w[0], *_first(leq[w[0]][:, None] & Z & ~Z[w[0]])), "descends")
+    w = _first(~Z[0])
+    if w:
+        return _fail((0, *w), "zero-orthogonal")
     return PASS
+
+
+def _check_ortho_join(ring: StarRing) -> CheckResult:
+    """Orthogonal pairs have a common upper bound, meet 0, and join a+b."""
+    Z = analysis.zero_product_matrix(ring)
+    pt = order.pair_tables(ring)
+    good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
+    w = _first(Z & ~good)
+    return _fail(w) if w else PASS
+
+
+def _check_cancellation(ring: StarRing) -> CheckResult:
+    """x ⊥ y, x ⊥ z, y <= x∨z imply y <= z, over all triples."""
+    Z = analysis.zero_product_matrix(ring)
+    pt = order.pair_tables(ring)
+    leqT = order.build_order(ring).leq_t
+    xs, zs = np.nonzero(Z & pt.cub & pt.join_ok)  # z ⊥ x with a join x∨z
+    js = pt.join[xs, zs]
+
+    def rows(k):  # [k, y]: y ⊥ x and y <= x∨z, but not y <= z
+        return Z[xs[k]] & leqT[js[k]] & ~leqT[zs[k]]
+
+    w = _first_rows(xs.size, ring.order, rows)
+    if not w:
+        return PASS
+    # The rows put z before y: the first failing x is rescanned as [y, z].
+    k = np.flatnonzero(xs == xs[w[0]])
+    y, z = _first(rows(k).T)
+    return _fail((xs[w[0]], y, zs[k[z]]), "cancellation")
+
+
+def _check_quasi_orthomodular(ring: StarRing) -> CheckResult:
+    """Orthogonal joins exist, decompositions exist, and cancellation holds."""
+    Z = analysis.zero_product_matrix(ring)
+    pt = order.pair_tables(ring)
+    leq = order.leq_matrix(ring)
+
+    w = _first(Z & ~(pt.cub & pt.join_ok))
+    if w:
+        return _fail(w, "join-exists")
+
+    # Every orthogonal pair has a join now. reached[x, y]: y = x∨z, z ⊥ x.
+    reached = np.zeros_like(leq)
+    x, z = np.nonzero(Z)
+    reached[x, pt.join[x, z]] = True
+    w = _first(leq & ~reached)
+    if w:
+        return _fail(w, "decomposition")
+    return _check_cancellation(ring)
 
 
 def _check_ortho_cover_equivalence(ring: StarRing) -> CheckResult:
@@ -309,7 +434,7 @@ def _check_segment_orthomodular(ring: StarRing) -> CheckResult:
 
 
 _REGISTRY: tuple = (
-    ("annihilator-identity", _gate_pq, analysis.verify_annihilator_identity),
+    ("annihilator-identity", _gate_pq, _check_annihilator_identity),
     ("cover-remark-identities", _gate_none, _check_cover_remark),
     ("cover-uniqueness", _gate_none, _check_cover_uniqueness),
     ("cub-characterization", _gate_pq, _check_cub_characterization),
@@ -318,13 +443,13 @@ _REGISTRY: tuple = (
     ("meet-join", _gate_pq, _check_meet_join),
     ("order-diagnostics", _gate_none, _check_order_diagnostics),
     ("order-equivalence", _gate_pq, _check_order_equivalence),
-    ("ortho-cancellation", _gate_pq, order.cancellation_check),
+    ("ortho-cancellation", _gate_pq, _check_cancellation),
     ("ortho-decomposition", _gate_pq, _check_ortho_decomposition),
-    ("ortho-join", _gate_pq, order.ortho_join_check),
-    ("orthogonality-axioms", _gate_pq, order.orthogonality_axioms),
+    ("ortho-join", _gate_pq, _check_ortho_join),
+    ("orthogonality-axioms", _gate_pq, _check_orthogonality_axioms),
     ("orthogonality-cover-equivalence", _gate_pq, _check_ortho_cover_equivalence),
     ("problem-2", _gate_pq, _check_problem2),
-    ("quasi-orthomodular", _gate_pq, order.quasi_orthomodular_check),
+    ("quasi-orthomodular", _gate_pq, _check_quasi_orthomodular),
     ("segment-orthomodular", _gate_pq, _check_segment_orthomodular),
     ("subtractivity-biconditional", _gate_pq_two, _check_subtractivity_biconditional),
     ("subtractivity-forward", _gate_pq, _check_subtractivity_forward),

@@ -12,6 +12,7 @@ import pytest
 
 import starorder as so
 from starorder.cli import main as cli_main
+from starorder.theorems import SKIP_TWO
 from helpers import is_squarefree, oracle_cover, ring_tables
 
 from pathlib import Path
@@ -63,17 +64,18 @@ def test_criterion_02_central_covers(z6):
 def test_criterion_03_annihilator_identity(curated_pq):
     for ring in curated_pq:
         assert so.classify(ring).is_pq_baer_star, ring.label
-        assert so.verify_annihilator_identity(ring).passed, ring.label
+        assert so.run_theorem(ring, "annihilator-identity").status == "pass", ring.label
 
 
 @criterion(4, "subtractivity")
 def test_criterion_04_subtractivity(z6, z15, z2xz3):
+    for ring in (z15, so.build_modular(21), z6, z2xz3):
+        assert so.run_theorem(ring, "subtractivity-forward").status == "pass", ring.label
     for ring in (z15, so.build_modular(21)):
-        forward, bicond = so.subtractivity_check(ring)
-        assert forward.passed and bicond is not None and bicond.passed, ring.label
-    for ring in (z6, z2xz3):
-        forward, bicond = so.subtractivity_check(ring)
-        assert forward.passed and bicond is None, ring.label
+        assert so.run_theorem(ring, "subtractivity-biconditional").status == "pass", ring.label
+    for ring in (z6, z2xz3):  # 2 is not invertible
+        bicond = so.run_theorem(ring, "subtractivity-biconditional")
+        assert bicond.skip_reason == SKIP_TWO, ring.label
 
 
 @criterion(5, "meet-join-formulas")
@@ -124,15 +126,14 @@ def test_criterion_07_semiprime_boundary(curated_pq, non_semiprime):
 @criterion(8, "problem-2")
 def test_criterion_08_problem2(curated_pq):
     for ring in curated_pq:
-        assert so.problem2_check(ring).passed, ring.label
+        assert so.run_theorem(ring, "problem-2").status == "pass", ring.label
 
 
 @criterion(9, "orthogonality-stack")
 def test_criterion_09_orthogonality(curated_pq, z6):
     for ring in curated_pq:
-        assert so.orthogonality_axioms(ring).passed, ring.label
-        assert so.ortho_join_check(ring).passed, ring.label
-        assert so.quasi_orthomodular_check(ring).passed, ring.label
+        for tid in ("orthogonality-axioms", "ortho-join", "quasi-orthomodular"):
+            assert so.run_theorem(ring, tid).status == "pass", (ring.label, tid)
     assert so.orthogonal(z6, 2, 3)
     cov = so.cover_table(z6).cover
     for a in z6.elements():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import starorder as so
 from corpus import fresh, random_partial_order
-from starorder import analysis, order, rings
+from starorder import analysis, order, rings, theorems
 from starorder.fuzz import _random_table_candidate
 from helpers import (
     oracle_covering_edges,
@@ -476,22 +476,19 @@ class TestLattice:
 
 class TestSubtractivity:
     def test_biconditional_on_z15(self, z15):
-        forward, bicond = so.subtractivity_check(z15)
-        assert forward.passed and bicond is not None and bicond.passed
+        assert so.run_theorem(z15, "subtractivity-forward").status == "pass"
+        assert so.run_theorem(z15, "subtractivity-biconditional").status == "pass"
 
     def test_biconditional_on_z21(self):
-        forward, bicond = so.subtractivity_check(so.build_modular(21))
-        assert forward.passed and bicond.passed
+        z21 = so.build_modular(21)
+        assert so.run_theorem(z21, "subtractivity-forward").status == "pass"
+        assert so.run_theorem(z21, "subtractivity-biconditional").status == "pass"
 
     def test_forward_only_on_z6(self, z6, z2xz3):
         for r in (z6, z2xz3):
-            forward, bicond = so.subtractivity_check(r)
-            assert forward.passed
-            assert bicond is None
-
-    def test_non_pq_rejected(self, z4):
-        with pytest.raises(so.PreconditionError):
-            so.subtractivity_check(z4)
+            assert so.run_theorem(r, "subtractivity-forward").status == "pass"
+            bicond = so.run_theorem(r, "subtractivity-biconditional")
+            assert bicond.skip_reason == theorems.SKIP_TWO
 
     def test_equal_elements_trivial(self, z6):
         cov = so.cover_table(z6).cover
@@ -512,11 +509,7 @@ class TestIdealsAndProblem2:
 
     def test_passes_on_small_carriers(self, z6, z2xz2, m2z2):
         for r in (z6, z2xz2, m2z2):
-            assert so.problem2_check(r).passed
-
-    def test_non_pq_rejected(self, z4):
-        with pytest.raises(so.PreconditionError):
-            so.problem2_check(z4)
+            assert so.run_theorem(r, "problem-2").status == "pass"
 
 
 class TestHasse:

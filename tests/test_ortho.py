@@ -15,7 +15,7 @@ from helpers import (
     oracle_segment,
     ring_tables,
 )
-from starorder import analysis, order, rings
+from starorder import analysis, order, rings, theorems
 
 fuzz = importlib.import_module("starorder.fuzz")  # the package's ``fuzz`` is the function
 
@@ -47,12 +47,12 @@ class TestOrthogonal:
 class TestOrthogonalityAxioms:
     def test_pass_on_pq_carriers(self, z6, m2z2, z2xz2):
         for r in (z6, m2z2, z2xz2):
-            assert so.orthogonality_axioms(r).passed
+            assert so.run_theorem(r, "orthogonality-axioms").status == "pass"
 
     def test_descends_axiom_fails_on_z4(self, z4):
         # 2 <= 0 and 0 ⊥ 1, yet 2·1 != 0: the relation is not an
         # orthogonality relation outside the semiprime world.
-        res = so.orthogonality_axioms(z4)
+        res = theorems._check_orthogonality_axioms(z4)
         assert not res.passed
         assert res.note == "descends"
         assert res.witness == (2, 0, 1)
@@ -60,12 +60,12 @@ class TestOrthogonalityAxioms:
 
 class TestOrthoJoin:
     def test_z6_pair(self, z6):
-        assert so.ortho_join_check(z6).passed
+        assert so.run_theorem(z6, "ortho-join").status == "pass"
         assert so.meet(z6, 2, 3) == 0
         assert so.join(z6, 2, 3) == z6.add(2, 3) == 5
 
     def test_componentwise_join(self, z2xz2):
-        assert so.ortho_join_check(z2xz2).passed
+        assert so.run_theorem(z2xz2, "ortho-join").status == "pass"
         a, b = 2, 1  # (1,0) and (0,1)
         assert so.orthogonal(z2xz2, a, b)
         assert so.join(z2xz2, a, b) == 3  # (1,1)
@@ -73,10 +73,6 @@ class TestOrthoJoin:
     def test_zero_joins(self, z6):
         for a in z6.elements():
             assert so.join(z6, 0, a) == a
-
-    def test_non_pq_rejected(self, z4):
-        with pytest.raises(so.PreconditionError):
-            so.ortho_join_check(z4)
 
 
 def rejoins(ring, a, b):
@@ -132,15 +128,11 @@ class TestDecomposition:
 class TestQuasiOrthomodular:
     def test_pass_on_carriers(self, z6, z2xz2, m2z2):
         for r in (z6, z2xz2, m2z2):
-            assert so.quasi_orthomodular_check(r).passed
+            assert so.run_theorem(r, "quasi-orthomodular").status == "pass"
 
     def test_cancellation_alone(self, z6, m2z2):
         for r in (z6, m2z2):
-            assert so.cancellation_check(r).passed
-
-    def test_non_pq_rejected(self, z4):
-        with pytest.raises(so.PreconditionError):
-            so.quasi_orthomodular_check(z4)
+            assert so.run_theorem(r, "ortho-cancellation").status == "pass"
 
     def test_cancellation_matches_oracle(self, curated_pq):
         # With the true orthogonality, and with random pairs of it flipped in
@@ -157,7 +149,7 @@ class TestQuasiOrthomodular:
                     ortho = {
                         (a, b) for a in range(n) for b in range(n) if oracle_orthogonal(t, a, b)
                     }
-                    assert so.cancellation_check(r).witness == oracle_cancellation(t, ortho)
+                    assert theorems._check_cancellation(r).witness == oracle_cancellation(t, ortho)
                     s = fresh(r)
                     # The p.q.-Baer * gate and the order read the true relation.
                     so.classify(s)
@@ -169,7 +161,7 @@ class TestQuasiOrthomodular:
                         Z[a, b] = not Z[a, b]
                     s._memo["zero_product_matrix"] = Z
                     want = oracle_cancellation(t, ortho ^ flips)
-                    assert so.cancellation_check(s).witness == want, (r.label, flips, block)
+                    assert theorems._check_cancellation(s).witness == want, (r.label, flips, block)
                     failed += want is not None
             assert failed
 
@@ -189,7 +181,7 @@ class TestQuasiOrthomodular:
         assert fails == [(1, 3, 6), (1, 5, 4), (1, 5, 6)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rings, "_BLOCK", block)
-            assert so.cancellation_check(r).witness == (1, 3, 6)
+            assert theorems._check_cancellation(r).witness == (1, 3, 6)
 
 
 class TestInitialSegments:

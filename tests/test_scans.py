@@ -74,17 +74,17 @@ def test_scans_match_oracles_on_perturbed_relations(curated_pq, block):
             got = tuple(check.witness for check in checks)
             assert got == oracle_order_diagnostics(n, le), r.label
             met.add(got[2] and "transitive")
-            got = _verdict(order.orthogonality_axioms(s))
+            got = _verdict(theorems._check_orthogonality_axioms(s))
             assert got == oracle_orthogonality_axioms(n, le, orth), r.label
             met.add(got and got[1])
             if diag.all_pass:
-                got = order.problem2_check(s).witness
+                got = theorems._check_problem2(s).witness
                 assert got == oracle_problem2(t, le), r.label
                 met.add(got and "problem-2")
             else:  # meets and joins, and so problem 2, need a partial order
                 with pytest.raises(so.PreconditionError, match="not a partial order"):
-                    order.problem2_check(s)
-            got = _verdict(analysis.verify_annihilator_identity(s))
+                    theorems._check_problem2(s)
+            got = _verdict(theorems._check_annihilator_identity(s))
             assert got == oracle_annihilator_identity(t, orth, cov.tolist()), r.label
             met.add(got and got[1])
             got = _verdict(theorems._check_cover_remark(s))
@@ -129,7 +129,7 @@ def test_problem2_and_descends_on_random_partial_orders(curated_pq, block):
                 assert order.build_order(s).diagnostics.all_pass
                 le = lambda a, b: bool(leq[a, b])
                 pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
-                got = order.problem2_check(s).witness
+                got = theorems._check_problem2(s).witness
                 assert got == oracle_problem2(t, le), r.label
                 triples = oracle_problem2_failures(t, le)
                 failing = dict.fromkeys((a, b) for a, b, _ in triples)  # pairs, in order
@@ -138,7 +138,7 @@ def test_problem2_and_descends_on_random_partial_orders(curated_pq, block):
                     met.add("unjoined first" + ", joined later" * any(joined[1:]))
                 elif joined:
                     met.add("joined first")
-                got = _verdict(order.orthogonality_axioms(s))
+                got = _verdict(theorems._check_orthogonality_axioms(s))
                 assert got == oracle_orthogonality_axioms(n, le, lambda a, b: bool(Z[a, b]))
                 if got and got[1] == "descends":
                     x = got[0][0]
@@ -174,7 +174,7 @@ def test_problem2_does_not_judge_an_unjoined_pair_by_its_formula(m2z2, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rings, "_BLOCK", block)
         want = oracle_problem2(t, lambda x, y: bool(leq[x, y]))
-        assert want is None and order.problem2_check(s).witness is None
+        assert want is None and theorems._check_problem2(s).witness is None
 
 
 @given(

@@ -47,6 +47,22 @@ class TestSuiteShape:
                 assert (v.status == "skipped") == (v.skip_reason is not None)
                 assert (v.status == "fail") == (v.witness is not None)
 
+    def test_every_runner_lives_in_theorems(self):
+        # One module decides every theorem; the package exports no check.
+        for tid, _, runner in theorems._REGISTRY:
+            assert runner.__module__ == "starorder.theorems", tid
+        removed = (
+            "cancellation_check",
+            "ortho_join_check",
+            "orthogonality_axioms",
+            "problem2_check",
+            "quasi_orthomodular_check",
+            "subtractivity_check",
+            "verify_annihilator_identity",
+        )
+        for name in removed:
+            assert not hasattr(so, name), name
+
     def test_json_shape(self, z6):
         d = so.run_suite(z6)[0].to_json_dict()
         assert list(d) == [
@@ -98,6 +114,35 @@ class TestSuiteVerdicts:
                     pytest.fail(f"unknown skip reason {v.skip_reason}")
             else:
                 assert v.status == "pass"
+
+    def test_gated_runners_never_run_off_pq_baer(
+        self, monkeypatch, swap_ring, t2z2, non_semiprime
+    ):
+        # The gate is the one p.q.-Baer * test: off p.q.-Baer *, every gated
+        # theorem is skipped for that reason before its runner is looked at.
+        called = []
+
+        def refuse(tid):
+            def runner(ring):
+                called.append((ring.label, tid))
+                raise AssertionError(f"{tid} ran on {ring.label}")
+
+            return runner
+
+        gated = {tid for tid, gate, _ in theorems._REGISTRY if gate is not theorems._gate_none}
+        registry = tuple(
+            (tid, gate, refuse(tid) if tid in gated else runner)
+            for tid, gate, runner in theorems._REGISTRY
+        )
+        monkeypatch.setattr(theorems, "_REGISTRY", registry)
+        assert len(gated) == 16
+        for r in [swap_ring, t2z2] + non_semiprime:  # non_semiprime: Z4, Z8, Z9, Z12
+            assert not so.classify(r).is_pq_baer_star, r.label
+            for v in so.run_suite(r):
+                if v.theorem in gated:
+                    assert v.status == "skipped", (r.label, v)
+                    assert v.skip_reason == theorems.SKIP_NOT_PQ, (r.label, v)
+        assert called == []
 
     def test_ungated_theorems_hold_on_non_semiprime(self):
         for n in (4, 8, 9, 12, 16, 27):
