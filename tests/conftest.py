@@ -86,3 +86,23 @@ def curated_pq():
 @pytest.fixture(scope="session")
 def non_semiprime():
     return [so.build_modular(n) for n in (4, 8, 9, 12)]
+
+
+@pytest.fixture
+def run_refused(monkeypatch):
+    """``run_theorem`` with the runner of the theorem asked for replaced by one
+    that fails if it is called, so a skip can only come from the gate."""
+    from starorder import theorems
+
+    def run(ring, theorem_id):
+        def refuse(r):
+            raise AssertionError(f"{theorem_id} ran on {r.label}")
+
+        registry = tuple(
+            (tid, gate, refuse if tid == theorem_id else runner)
+            for tid, gate, runner in theorems._REGISTRY
+        )
+        monkeypatch.setattr(theorems, "_REGISTRY", registry)
+        return so.run_theorem(ring, theorem_id)
+
+    return run

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import starorder as so
-from starorder import analysis
+from starorder import analysis, theorems
 from starorder.fuzz import _random_table_candidate
 from helpers import (
     is_squarefree,
@@ -364,6 +364,10 @@ class TestAnnihilatorIdentity:
     def test_holds_on_small_carriers(self, z6, m2z2):
         assert so.run_theorem(z6, "annihilator-identity").status == "pass"
         assert so.run_theorem(m2z2, "annihilator-identity").status == "pass"
+
+    def test_rejects_non_pq(self, z4, run_refused):
+        v = run_refused(z4, "annihilator-identity")
+        assert (v.status, v.skip_reason) == ("skipped", theorems.SKIP_NOT_PQ)
 
     def test_zero_element_annihilates_everything(self, z6):
         # e = C(0) = 0, so all five sets are the whole ring.

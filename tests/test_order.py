@@ -490,6 +490,11 @@ class TestSubtractivity:
             bicond = so.run_theorem(r, "subtractivity-biconditional")
             assert bicond.skip_reason == theorems.SKIP_TWO
 
+    def test_non_pq_rejected(self, z4, run_refused):
+        for tid in ("subtractivity-forward", "subtractivity-biconditional"):
+            v = run_refused(z4, tid)
+            assert (v.status, v.skip_reason) == ("skipped", theorems.SKIP_NOT_PQ)
+
     def test_equal_elements_trivial(self, z6):
         cov = so.cover_table(z6).cover
         for a in z6.elements():
@@ -510,6 +515,10 @@ class TestIdealsAndProblem2:
     def test_passes_on_small_carriers(self, z6, z2xz2, m2z2):
         for r in (z6, z2xz2, m2z2):
             assert so.run_theorem(r, "problem-2").status == "pass"
+
+    def test_non_pq_rejected(self, z4, run_refused):
+        v = run_refused(z4, "problem-2")
+        assert (v.status, v.skip_reason) == ("skipped", theorems.SKIP_NOT_PQ)
 
 
 class TestHasse:

@@ -74,6 +74,10 @@ class TestOrthoJoin:
         for a in z6.elements():
             assert so.join(z6, 0, a) == a
 
+    def test_non_pq_rejected(self, z4, run_refused):
+        v = run_refused(z4, "ortho-join")
+        assert (v.status, v.skip_reason) == ("skipped", theorems.SKIP_NOT_PQ)
+
 
 def rejoins(ring, a, b):
     """c = b − a has a verified join with a, and a∨c = b (read from
@@ -133,6 +137,10 @@ class TestQuasiOrthomodular:
     def test_cancellation_alone(self, z6, m2z2):
         for r in (z6, m2z2):
             assert so.run_theorem(r, "ortho-cancellation").status == "pass"
+
+    def test_non_pq_rejected(self, z4, run_refused):
+        v = run_refused(z4, "quasi-orthomodular")
+        assert (v.status, v.skip_reason) == ("skipped", theorems.SKIP_NOT_PQ)
 
     def test_cancellation_matches_oracle(self, curated_pq):
         # With the true orthogonality, and with random pairs of it flipped in
