@@ -130,9 +130,9 @@ class OrderStructure:
         return {
             "label": self.label,
             "order": self.order,
-            "leq": [[bool(v) for v in row] for row in self.leq],
+            "leq": self.leq.tolist(),
             "diagnostics": self.diagnostics.to_json_dict(),
-            "cub": [[bool(v) for v in row] for row in self.cub],
+            "cub": self.cub.tolist(),
             "covers": self.covers.to_json_dict()["cover"],
         }
 
@@ -189,21 +189,20 @@ def _partial_order(ring: StarRing) -> OrderStructure:
 
 @dataclass(frozen=True)
 class PairTables:
-    """Per-pair meet/join values with order-theoretic verification bits,
-    for a relation that is a partial order.
+    """The verified glb and lub of each pair, for a relation that is a
+    partial order.
 
-    ``meet``/``join`` hold a·C(b) and a+b-a·C(b); ``meet_ok``/``join_ok``
-    record whether an order-theoretic glb/lub exists (a formula value that
-    fails is replaced by a scanned one, so a value differing from the
-    formula is itself a finding). ``segments_ok`` certifies every initial
-    segment (see `initial_segment`).
+    ``meet``/``join`` hold the glb and lub where they exist, else -1: a
+    pair without a common upper bound holds -1 in both. Each is the cover
+    formula value a·C(b) or a+b-a·C(b) where that verifies, else a scanned
+    one, so a value differing from the formula is itself a finding.
+    ``segments_ok`` certifies every initial segment (see
+    `initial_segment`).
     """
 
     cub: np.ndarray
     meet: np.ndarray
-    meet_ok: np.ndarray
     join: np.ndarray
-    join_ok: np.ndarray
     segments_ok: bool
 
 
@@ -217,11 +216,11 @@ def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
     return int(ub[w[0]]) if w else None
 
 
-def _segment_certificate(Z, A, cub, meet, meet_ok, join, join_ok) -> bool:
+def _segment_certificate(Z, A, cub, meet, join) -> bool:
     """(P) and (O) of `initial_segment`, on the formula tables before any
     scan. Where (P) holds, no pair is scanned."""
-    return not (cub & ~(meet_ok & join_ok)).any() and not (
-        Z & ~(meet_ok & (meet == 0) & join_ok & (join == A))
+    return not (cub & (np.minimum(meet, join) < 0)).any() and not (
+        Z & ~((meet == 0) & (join == A))
     ).any()
 
 
@@ -239,48 +238,48 @@ def pair_tables(ring: StarRing) -> PairTables:
 
         mv = np.take(M, covers, axis=1)  # mv[a, b] = a·C(b)
         jv = S[A, mv]                     # jv[a, b] = (a+b) - mv
-        meet_ok = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]
-        join_ok = leq[idx[:, None], jv] & leq[idx[None, :], jv]
+        lower = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]  # mv <= a, b
+        upper = leq[idx[:, None], jv] & leq[idx[None, :], jv]  # a, b <= jv
         # A common upper bound v of a and b is least iff |up(v)| = |up(a) ∩
-        # up(b)|, by transitivity; dually for the meet (rel = leq.T). |up(v)|
-        # is a diagonal entry. The formula values are expected to verify where
-        # a common upper bound exists; a raw scan replaces those that do not.
+        # up(b)|, by transitivity; dually for the meet. |up(v)| is a diagonal
+        # entry. The formula values are expected to verify where a common
+        # upper bound exists; each that does not becomes -1 in place, and a
+        # raw scan below replaces it where a bound exists.
         down = _counts(leq_t)  # |down(a) ∩ down(b)| at [a, b]
-        halves = ((mv, meet_ok, leq_t, down), (jv, join_ok, leq, up))
-        for values, ok, rel, counts in halves:
+        for values, ok, counts in ((mv, lower, down), (jv, upper, up)):
+            ok &= cub
             ok &= counts == np.diagonal(counts)[values]
-        Z = zero_product_matrix(ring)
-        certified = _segment_certificate(Z, A, cub, mv, meet_ok, jv, join_ok)
-        for values, ok, rel, counts in halves:
-            for a, b in np.argwhere(cub & ~ok):
+            values[~ok] = -1
+        certified = _segment_certificate(zero_product_matrix(ring), A, cub, mv, jv)
+        for values, rel in ((mv, leq_t), (jv, leq)):
+            for a, b in np.argwhere(cub & (values < 0)):
                 v = _least_upper(rel, int(a), int(b))
                 if v is not None:
                     values[a, b] = v
-                    ok[a, b] = True
-        return PairTables(cub, *map(_frozen, (mv, meet_ok, jv, join_ok)), certified)
+        return PairTables(cub, _frozen(mv), _frozen(jv), certified)
 
     return ring.memo("pair_tables", build)
 
 
 def meet(ring: StarRing, a: int, b: int) -> int | None:
     """The glb of a and b read from `pair_tables`: a·C(b) where that value
-    verifies, else a scanned one. None marks a pair with no common upper
-    bound or no glb. On a ring that is not p.q.-Baer * the cover formula
-    can misfire (the swap ring at (1, 2)); the verified glb is returned
-    there. Raises `PreconditionError` unless the relation is a partial
-    order."""
+    verifies, else a scanned one. None (-1 in the table) marks a pair with
+    no common upper bound or no glb. On a ring that is not p.q.-Baer * the
+    cover formula can misfire (the swap ring at (1, 2)); the verified glb
+    is returned there. Raises `PreconditionError` unless the relation is a
+    partial order."""
     a = ring.check(a)
     b = ring.check(b)
-    pt = pair_tables(ring)
-    return int(pt.meet[a, b]) if pt.cub[a, b] & pt.meet_ok[a, b] else None
+    v = int(pair_tables(ring).meet[a, b])
+    return v if v >= 0 else None
 
 
 def join(ring: StarRing, a: int, b: int) -> int | None:
     """The lub of a and b read from `pair_tables`, as `meet` reads the glb."""
     a = ring.check(a)
     b = ring.check(b)
-    pt = pair_tables(ring)
-    return int(pt.join[a, b]) if pt.cub[a, b] & pt.join_ok[a, b] else None
+    v = int(pair_tables(ring).join[a, b])
+    return v if v >= 0 else None
 
 
 def is_lattice(ring: StarRing) -> CheckResult:
@@ -293,7 +292,7 @@ def is_lattice(ring: StarRing) -> CheckResult:
 def is_pseudo_lattice(ring: StarRing) -> CheckResult:
     """Every pair with a common upper bound has a verified meet and join."""
     pt = pair_tables(ring)
-    w = _first(pt.cub & ~(pt.meet_ok & pt.join_ok))
+    w = _first(pt.cub & (np.minimum(pt.meet, pt.join) < 0))
     return _fail(w) if w else PASS
 
 
@@ -328,7 +327,7 @@ class SegmentPoset:
             "label": self.label,
             "top": self.top,
             "elements": list(self.elements),
-            "leq": [[bool(v) for v in row] for row in self.leq],
+            "leq": self.leq.tolist(),
             "complement": list(self.complement),
             "orthocomplemented": self.orthocomplemented,
             "orthomodular": self.orthomodular,
@@ -343,19 +342,19 @@ def _segment_bound(pt: PairTables | None, glb: bool, elems, L, i, j) -> np.ndarr
 
     ``pt`` is given only when the relation is a partial order. Then every
     pair of [0, m] has m as a common upper bound, so its global meet or
-    join lies in [0, m] and is its segment glb or lub. Only the pairs whose
-    ok bit is false are scanned on the segment order ``L``.
+    join lies in [0, m] and is its segment glb or lub. Only the pairs
+    without one (all pairs when ``pt`` is None) are scanned on the segment
+    order ``L``.
     """
     if pt is None:
-        out, todo = np.full(i.size, -1), range(i.size)
+        out = np.full(i.size, -1)
     else:
-        values, ok = (pt.meet, pt.meet_ok) if glb else (pt.join, pt.join_ok)
-        a, b = elems[i], elems[j]
-        out, todo = values[a, b], (~ok[a, b]).nonzero()[0]
+        out = (pt.meet if glb else pt.join)[elems[i], elems[j]]
     rel = L.T if glb else L
-    for k in todo:
+    for k in (out < 0).nonzero()[0]:
         v = _least_upper(rel, int(i[k]), int(j[k]))
-        out[k] = -1 if v is None else elems[v]
+        if v is not None:
+            out[k] = elems[v]
     return out
 
 

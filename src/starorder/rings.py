@@ -306,8 +306,6 @@ def _validated_ring(label: str, add, mul, star, one: int) -> StarRing:
     """A leaf ring: tables from outside the builders are range-checked and
     then validated, and the ring keeps the G that validation found."""
     n = add.shape[0]
-    if add.shape != (n, n) or mul.shape != (n, n) or star.shape != (n,):
-        raise RingSpecError(f"{label}: tables must be {n}x{n} (and star length {n})")
     # Before the int32 cast, which would wrap an entry of 2^32 + 1 to 1.
     for name, t in (("add", add), ("mul", mul), ("star", star)):
         if t.size and (t.min() < 0 or t.max() >= n):

@@ -251,48 +251,39 @@ def _check_cub_star_identities(ring: StarRing) -> CheckResult:
 
 def _check_meet_join(ring: StarRing) -> CheckResult:
     """Meets/joins of pairs with a common upper bound: the cover formulas
-    are the order-theoretic glb/lub, and both join corollary forms agree."""
+    a·C(b) and a+b-a·C(b) are the order-theoretic glb/lub.
+
+    The paper's other three forms cannot fail once these pass, for any
+    cover array: `order.pair_tables` holds only verified glbs and lubs of a
+    partial order, which are unique, and having a common upper bound is
+    symmetric in a and b.
+    - meet = b·C(a): meet[a, b] = meet[b, a], which is b·C(a) by the meet
+      formula at (b, a).
+    - join = a + b·(1-C(a)): by distributivity b·(1-C(a)) = b - b·C(a),
+      and b·C(a) = a·C(b) by the line above, so this is the join formula.
+    - join = a·(1-C(b)) + b: as + commutes, this is the previous form at
+      (b, a), and join[b, a] = join[a, b].
+    Only the ring axioms, the partial order and the two formulas are used."""
     pt = order.pair_tables(ring)
     pseudo = order.is_pseudo_lattice(ring)
     if not pseudo.passed:
         return CheckResult(False, pseudo.witness, "pseudo-lattice")
-    M = ring.multiplication
-    A = ring.addition
-    S = ring.sub_table()
-    covers = analysis.cover_ids(ring)
-    n = ring.order
-    idx = np.arange(n)
-    ac = np.take(M, covers, axis=1)
+    ac = np.take(ring.multiplication, analysis.cover_ids(ring), axis=1)
     w = _first(pt.cub & (pt.meet != ac))
     if w:
         return _fail(w, "meet-formula")
-    w = _first(pt.cub & (pt.meet != ac.T))
-    if w:
-        return _fail(w, "meet-formula-symmetric")
-    w = _first(pt.cub & (pt.join != S[A, ac]))
-    if w:
-        return _fail(w, "join-formula")
-    mf = np.take(M, S[ring.one, covers], axis=1)  # a·(1-C(b)) at [a, b]
-    j2 = A[idx[:, None], mf.T]                     # a + b·(1-C(a))
-    w = _first(pt.cub & (pt.join != j2))
-    if w:
-        return _fail(w, "join-corollary")
-    j3 = A[mf, idx[None, :]]                       # a·(1-C(b)) + b
-    w = _first(pt.cub & (pt.join != j3))
-    if w:
-        return _fail(w, "join-corollary-symmetric")
-    return PASS
+    w = _first(pt.cub & (pt.join != ring.sub_table()[ring.addition, ac]))
+    return _fail(w, "join-formula") if w else PASS
 
 
 def _check_lattice_characterization(ring: StarRing) -> CheckResult:
     """The formula criterion agrees with direct lattice verification."""
     pt = order.pair_tables(ring)
     formula = order.is_lattice(ring)
-    direct = bool(pt.cub.all() and (pt.meet_ok & pt.join_ok).all())
-    if formula.passed == direct:
+    bad = np.minimum(pt.meet, pt.join) < 0  # no common upper bound, glb or lub
+    if formula.passed != bad.any():
         return PASS
     if formula.passed:
-        bad = ~(pt.cub & pt.meet_ok & pt.join_ok)
         return _fail(_first(bad), "formula-true-but-not-lattice")
     return CheckResult(False, formula.witness, "lattice-but-formula-false")
 
@@ -312,8 +303,11 @@ def _check_problem2(ring: StarRing) -> CheckResult:
 
     # The c above a and b are those above a∨b, so a pair with a verified
     # join fails iff a+b is not below it. The other pairs with a common
-    # upper bound are scanned over c.
-    bad, scan = hyp & pt.join_ok & ~leq[A, pt.join], hyp & ~pt.join_ok
+    # upper bound are scanned over c. The mask comes first: a join of -1
+    # would index the last column.
+    joined = pt.join >= 0
+    bad, scan = hyp & joined, hyp & ~joined
+    bad[bad] = ~leq[A[bad], pt.join[bad]]
     a, b = np.nonzero(scan)
 
     def fails(a, b):  # [k, c]: a[k], b[k] <= c, but not a[k]+b[k] <= c
@@ -348,8 +342,7 @@ def _check_ortho_join(ring: StarRing) -> CheckResult:
     """Orthogonal pairs have a common upper bound, meet 0, and join a+b."""
     Z = analysis.zero_product_matrix(ring)
     pt = order.pair_tables(ring)
-    good = pt.cub & pt.meet_ok & (pt.meet == 0) & pt.join_ok & (pt.join == ring.addition)
-    w = _first(Z & ~good)
+    w = _first(Z & ~((pt.meet == 0) & (pt.join == ring.addition)))
     return _fail(w) if w else PASS
 
 
@@ -358,7 +351,7 @@ def _check_cancellation(ring: StarRing) -> CheckResult:
     Z = analysis.zero_product_matrix(ring)
     pt = order.pair_tables(ring)
     leqT = order.build_order(ring).leq_t
-    xs, zs = np.nonzero(Z & pt.cub & pt.join_ok)  # z ⊥ x with a join x∨z
+    xs, zs = np.nonzero(Z & (pt.join >= 0))  # z ⊥ x with a join x∨z
     js = pt.join[xs, zs]
 
     def rows(k):  # [k, y]: y ⊥ x and y <= x∨z, but not y <= z
@@ -379,7 +372,7 @@ def _check_quasi_orthomodular(ring: StarRing) -> CheckResult:
     pt = order.pair_tables(ring)
     leq = order.leq_matrix(ring)
 
-    w = _first(Z & ~(pt.cub & pt.join_ok))
+    w = _first(Z & (pt.join < 0))
     if w:
         return _fail(w, "join-exists")
 
@@ -411,12 +404,7 @@ def _check_ortho_decomposition(ring: StarRing) -> CheckResult:
     leq = order.leq_matrix(ring)
     idx = np.arange(ring.order)
     C = ring.sub_table().T  # c = b - a at [a, b]
-    ok = (
-        pt.cub[idx[:, None], C]
-        & pt.join_ok[idx[:, None], C]
-        & (pt.join[idx[:, None], C] == idx[None, :])
-    )
-    w = _first(leq & ~ok)
+    w = _first(leq & (pt.join[idx[:, None], C] != idx[None, :]))
     if w:
         return _fail(w)
     return PASS

@@ -448,34 +448,51 @@ def oracle_cancellation(t, ortho):
     return next(oracle_cancellation_failures(t, ortho), None)
 
 
-def oracle_pair_tables(t, pairs, covers):
-    """(meet, meet_ok, join, join_ok) at every pair (a, b) with a common upper
-    bound under the relation ``pairs``, as ``pair_tables`` defines them: the
-    formula values m = a·C(b) and (a+b) - m where they are the glb and lub,
-    else the first glb or lub in element order, else the formula value with
-    a false ok bit. ``covers[x]`` is C(x)."""
+def oracle_pair_tables(n, pairs):
+    """(meet, join) at every pair (a, b) of range(n) with a common upper
+    bound under the partial order ``pairs``, as ``pair_tables`` holds them:
+    the glb and the lub, -1 where there is none."""
+    elems = range(n)
+    out = {}
+    for a, b in product(elems, repeat=2):
+        if any((a, d) in pairs and (b, d) in pairs for d in elems):
+            bounds = oracle_glb(pairs, elems, a, b), oracle_lub(pairs, elems, a, b)
+            out[a, b] = tuple(-1 if v is None else v for v in bounds)
+    return out
+
+
+def oracle_meet_join(t, pairs, covers):
+    """``(witness, note)`` for the first failing term of the meet-join
+    theorem, or None, under the partial order ``pairs`` and the covers
+    ``covers[x]`` = C(x). The terms, each over all pairs (a, b) with a
+    common upper bound, row-major: a glb and a lub exist (pseudo-lattice);
+    the glb is a·C(b) (meet-formula) and b·C(a) (meet-formula-symmetric);
+    the lub is (a+b) - a·C(b) (join-formula), a + b·(1-C(a))
+    (join-corollary) and a·(1-C(b)) + b (join-corollary-symmetric)."""
     add, mul = t[0], t[1]
     elems = range(len(add))
     neg = [next(y for y in elems if add[x][y] == 0) for x in elems]
-    out = {}
-    for a, b in product(elems, repeat=2):
-        upper = [d for d in elems if (a, d) in pairs and (b, d) in pairs]
-        if not upper:
-            continue
-        lower = [d for d in elems if (d, a) in pairs and (d, b) in pairs]
-        m = mul[a][covers[b]]
-        j = add[add[a][b]][neg[m]]
-        glb = m if m in lower and all((d, m) in pairs for d in lower) else None
-        lub = j if j in upper and all((j, d) in pairs for d in upper) else None
-        glb = oracle_glb(pairs, elems, a, b) if glb is None else glb
-        lub = oracle_lub(pairs, elems, a, b) if lub is None else lub
-        out[a, b] = (
-            m if glb is None else glb,
-            glb is not None,
-            j if lub is None else lub,
-            lub is not None,
-        )
-    return out
+    one = next(e for e in elems if all(mul[e][x] == x for x in elems))
+
+    def sub(x, y):
+        return add[x][neg[y]]
+
+    bounds = oracle_pair_tables(len(add), pairs)  # row-major
+    for (a, b), glb_lub in bounds.items():
+        if -1 in glb_lub:
+            return (a, b), "pseudo-lattice"
+    terms = (
+        ("meet-formula", 0, lambda a, b: mul[a][covers[b]]),
+        ("meet-formula-symmetric", 0, lambda a, b: mul[b][covers[a]]),
+        ("join-formula", 1, lambda a, b: sub(add[a][b], mul[a][covers[b]])),
+        ("join-corollary", 1, lambda a, b: add[a][mul[b][sub(one, covers[a])]]),
+        ("join-corollary-symmetric", 1, lambda a, b: add[mul[a][sub(one, covers[b])]][b]),
+    )
+    for note, side, value in terms:
+        for (a, b), glb_lub in bounds.items():
+            if glb_lub[side] != value(a, b):
+                return (a, b), note
+    return None
 
 
 def oracle_order_diagnostics(n, leq):

@@ -12,6 +12,18 @@ from starorder.errors import VerificationError
 
 Z6 = '{"type":"modular","n":6}'
 Z4 = '{"type":"modular","n":4}'
+# Z2 x Z2 with the swap involution: a partial order, not p.q.-Baer *.
+SWAP = json.dumps(
+    {
+        "type": "table",
+        "order": 4,
+        "add": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+        "mul": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
+        "star": [0, 2, 1, 3],
+        "zero": 0,
+        "one": 3,
+    }
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "z6.dot"
 FUZZ_GOLDEN = Path(__file__).parent / "golden" / "fuzz_seed7.json"
@@ -220,6 +232,29 @@ class TestSegment:
         code, _, err = run(capsys, "segment", Z6, "--top", "99")
         assert code == 2
         assert json.loads(err)["error"] == "foreign-element"
+
+
+class TestGoldenOutput:
+    # The bytes and exit code of `order`, `segment` and `hasse`, as recorded
+    # under tests/golden/. The swap ring's pair tables certify no segment,
+    # so its segments take the full scan; Z4 is not a partial order.
+    @pytest.mark.parametrize(
+        "golden, argv, code",
+        [
+            ("z6.order.json", ("order", Z6), 0),
+            ("z6.segment-3.json", ("segment", Z6, "--top", "3"), 0),
+            ("z6.segment-5.json", ("segment", Z6, "--top", "5"), 0),
+            ("swap.order.json", ("order", SWAP), 0),
+            ("swap.segment-1.json", ("segment", SWAP, "--top", "1"), 0),
+            ("swap.segment-2.json", ("segment", SWAP, "--top", "2"), 0),
+            ("swap.segment-3.json", ("segment", SWAP, "--top", "3"), 0),
+            ("swap.dot", ("hasse", SWAP), 0),
+            ("z4.segment-2.json", ("segment", Z4, "--top", "2"), 1),
+        ],
+    )
+    def test_matches_golden(self, capsys, golden, argv, code):
+        got, out, _ = run(capsys, *argv)
+        assert (got, out) == (code, (GOLDEN.parent / golden).read_text())
 
 
 class TestVerify:

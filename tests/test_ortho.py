@@ -84,7 +84,7 @@ def rejoins(ring, a, b):
     `pair_tables`)."""
     pt = order.pair_tables(ring)
     c = ring.sub(b, a)
-    return bool(pt.cub[a, c] and pt.join_ok[a, c]) and pt.join[a, c] == b
+    return bool(pt.join[a, c] == b)
 
 
 class TestDecomposition:
@@ -302,40 +302,37 @@ def test_certified_segments_match_the_full_path(curated_pq, swap_ring, monkeypat
     assert certified >= len(curated_pq)
 
 
-def _certificate_terms(Z, A, cub, meet, meet_ok, join, join_ok):
-    """(P) and (O) of the segment certificate, each by a loop over all pairs."""
+def _certificate_terms(Z, A, cub, meet, join):
+    """(P) and (O) of the segment certificate, each by a loop over all pairs;
+    -1 marks a formula value that did not verify."""
     pairs = [(a, b) for a in range(len(Z)) for b in range(len(Z))]
     return (
-        all(meet_ok[a, b] and join_ok[a, b] for a, b in pairs if cub[a, b]),
-        all(
-            meet_ok[a, b] and meet[a, b] == 0 and join_ok[a, b] and join[a, b] == A[a, b]
-            for a, b in pairs
-            if Z[a, b]
-        ),
+        all(meet[a, b] >= 0 and join[a, b] >= 0 for a, b in pairs if cub[a, b]),
+        all(meet[a, b] == 0 and join[a, b] == A[a, b] for a, b in pairs if Z[a, b]),
     )
 
 
 def test_each_certificate_term_decides(z6):
     # One entry changed on Z6 breaks exactly one term, and the certificate
-    # with it: an ok bit that (O) does not read, and a meet that (P) does
-    # not read.
+    # with it: a meet or a join that did not verify where (O) does not
+    # read, and a meet that (P) accepts but (O) does not.
     pt = order.pair_tables(z6)
     Z = analysis.zero_product_matrix(z6)
-    base = dict(
-        Z=Z, A=z6.addition, cub=pt.cub, meet=pt.meet,
-        meet_ok=pt.meet_ok, join=pt.join, join_ok=pt.join_ok,
-    )
+    base = dict(Z=Z, A=z6.addition, cub=pt.cub, meet=pt.meet, join=pt.join)
     assert pt.segments_ok and order._segment_certificate(**base)
     assert _certificate_terms(**base) == (True, True)
     cub_only = tuple(np.argwhere(pt.cub & ~Z)[0])
     orthogonal = tuple(np.argwhere(Z)[0])
-    for term, (name, at, value) in enumerate(
-        (("meet_ok", cub_only, False), ("meet", orthogonal, 1))
-    ):
+    changes = (
+        ("meet", cub_only, -1, (False, True)),
+        ("join", cub_only, -1, (False, True)),
+        ("meet", orthogonal, 1, (True, False)),
+    )
+    for name, at, value, terms in changes:
         args = dict(base, **{name: np.array(base[name])})
         args[name][at] = value
-        assert _certificate_terms(**args) == (term != 0, term != 1), name
-        assert not order._segment_certificate(**args), name
+        assert _certificate_terms(**args) == terms, (name, at)
+        assert not order._segment_certificate(**args), (name, at)
 
 
 SEGMENT_AXIOMS = {
@@ -439,7 +436,7 @@ def test_segment_bounds_scan_where_pair_tables_has_none(monkeypatch):
     _segment_witnesses(z6, leq, leq[:, S[5]], S)  # every segment against the oracle
     assert order.build_order(z6).diagnostics.all_pass
     pt = order.pair_tables(z6)
-    assert pt.cub[1, 2] and not pt.join_ok[1, 2]
+    assert pt.cub[1, 2] and pt.join[1, 2] == -1
 
     scanned = []
     scan = order._least_upper

@@ -17,6 +17,7 @@ from helpers import (
     oracle_order_diagnostics,
     oracle_orthogonality_axioms,
     oracle_lub,
+    oracle_meet_join,
     oracle_problem2,
     oracle_problem2_failures,
     ring_tables,
@@ -151,6 +152,33 @@ def test_problem2_and_descends_on_random_partial_orders(curated_pq, block):
     }
 
 
+def test_meet_join_matches_the_six_term_oracle(curated_pq, swap_ring):
+    # The check decides three of the theorem's six terms; its docstring
+    # proves the other three follow. The oracle states all six. Random
+    # partial orders and covers with a few entries rewritten, in the memo of
+    # fresh rings, reach a missing glb or lub and a misfiring meet formula.
+    rng = np.random.default_rng(5)
+    met = set()
+    for r in [r for r in curated_pq if 4 <= r.order <= 18] + [swap_ring]:
+        t = ring_tables(r)
+        n = r.order
+        true_leq = np.array(order.leq_matrix(r))
+        true_cov = np.array(analysis.cover_ids(r))
+        for trial in range(4):
+            leq = true_leq if trial % 2 else random_partial_order(n, rng, (0.15, 0.4)[trial // 2])
+            cov = true_cov.copy()
+            if trial:
+                cov[rng.integers(n, size=2)] = rng.integers(n, size=2)
+            s = fresh(r)
+            s._memo.update(leq_matrix=leq, cover_ids=cov)
+            assert order.build_order(s).diagnostics.all_pass
+            pairs = {(int(a), int(b)) for a, b in np.argwhere(leq)}
+            got = _verdict(theorems._check_meet_join(s))
+            assert got == oracle_meet_join(t, pairs, cov.tolist()), (r.label, trial)
+            met.add(got and got[1])
+    assert met >= {None, "pseudo-lattice", "meet-formula"}
+
+
 @pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
 def test_problem2_does_not_judge_an_unjoined_pair_by_its_formula(m2z2, block):
     # In M2(Z2), a = E11 and b = E21 have aR ∩ bR = {0}, and C(b) = 1, so
@@ -170,7 +198,9 @@ def test_problem2_does_not_judge_an_unjoined_pair_by_its_formula(m2z2, block):
     s._memo["leq_matrix"] = leq
     assert order.build_order(s).diagnostics.all_pass
     pt = order.pair_tables(s)
-    assert pt.cub[a, b] and not pt.join_ok[a, b] and pt.join[a, b] == b
+    assert pt.cub[a, b] and pt.join[a, b] == -1
+    formula = s.sub_table()[s.addition[a, b], s.multiplication[a, analysis.cover_ids(s)[b]]]
+    assert formula == b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rings, "_BLOCK", block)
         want = oracle_problem2(t, lambda x, y: bool(leq[x, y]))
