@@ -29,7 +29,6 @@ from .order import (
     is_pseudo_lattice,
     join,
     leq_bruteforce,
-    leq_star_bruteforce,
     meet,
     orthogonal,
 )

@@ -17,6 +17,7 @@ from .rings import (
     RingSpec,
     TableSpec,
     _cyclic_product_tables,
+    _frozen,
     _mixed_radix_weights,
     realize,
     spec_to_json,
@@ -141,14 +142,20 @@ def _random_factorization(rng: random.Random, n: int) -> list[int]:
     return factors or [1]
 
 
-def _random_table_candidate(rng: random.Random, max_order: int) -> TableSpec:
+def _random_table_candidate(
+    rng: random.Random, max_order: int, bases: dict
+) -> TableSpec:
     """One candidate table: a relabeled cyclic product with a factor-swap
     involution, occasionally corrupted so that validation has work to do.
     The base tables are not validated here: ``realize`` validates the
-    candidate, once."""
+    candidate, once. ``bases`` maps a factor tuple to its read-only
+    ``_cyclic_product_tables``, built on the first draw that needs them."""
     n = rng.randint(1, min(RANDOM_TABLE_MAX_ORDER, max_order))
-    factors = _random_factorization(rng, n)
-    add, mul, one, digits = _cyclic_product_tables(factors)
+    factors = tuple(_random_factorization(rng, n))
+    if factors not in bases:
+        add, mul, one, digits = _cyclic_product_tables(factors)
+        bases[factors] = (_frozen(add), _frozen(mul), one, _frozen(digits))
+    add, mul, one, digits = bases[factors]
     star = np.arange(n)
 
     # Involution: swap one pair of equal factors (an order-2 automorphism).
@@ -220,6 +227,9 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
     an earlier one. Every theorem is a function of the tables, so each
     distinct candidate is validated and checked once, and a repeat reuses
     its first draw's outcome; the report is the same as without reuse.
+    In the same way each distinct part of the structural rings (a Z_n) is
+    built and validated once, and each factorization's base tables are
+    built once. All this reuse is scoped to one call: nothing outlives it.
     """
     specs = structural_specs(config, cap)
     rng = random.Random(config.seed)
@@ -246,10 +256,11 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
                     halted = True
         return not halted
 
+    parts: dict = {}
     for spec in specs:
         if rings_checked >= config.budget:
             break
-        if not check(run_suite(realize(spec, cap)), spec):
+        if not check(run_suite(realize(spec, cap, parts)), spec):
             break
 
     if "random-table" in config.families and not halted:
@@ -257,8 +268,9 @@ def fuzz(config: FuzzConfig, cap: int = DEFAULT_ORDER_CAP) -> FuzzReport:
         # verdicts. Most rings share one verdict tuple, so each is stored once.
         outcomes: dict[bytes, tuple | None] = {}
         interned: dict[tuple, tuple] = {}
+        bases: dict[tuple, tuple] = {}
         while rings_checked < config.budget:
-            candidate = _random_table_candidate(rng, config.max_order)
+            candidate = _random_table_candidate(rng, config.max_order, bases)
             key = _table_key(candidate)
             if key not in outcomes:
                 try:

@@ -37,15 +37,6 @@ def leq_bruteforce(ring: StarRing, a: int, b: int) -> bool:
     return bool((row[:, b] == row[:, a]).all())
 
 
-def leq_star_bruteforce(ring: StarRing, a: int, b: int) -> bool:
-    """The starred variant: a*·r·b = a*·r·a for every r."""
-    a = ring.check(a)
-    b = ring.check(b)
-    M = ring.multiplication
-    row = M[M[ring.involution[a]]]
-    return bool((row[:, b] == row[:, a]).all())
-
-
 def _conrad_matrix(ring: StarRing, key: str, rows: np.ndarray) -> np.ndarray:
     """out[a, b] iff x·r·b = x·r·a for every r, where x = rows[a].
 

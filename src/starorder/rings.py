@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class StarRing:
     Elements are the integers ``0 .. order-1``; index 0 is always the
     additive identity. Instances are immutable (the tables are read-only
     arrays) and safe to share; derived structure is memoised per instance.
+    A composite names its elements by its parts' names: ``names`` builds
+    the tuple, on the first read of ``element_names`` or ``name_of``.
     """
 
     label: str
@@ -52,7 +54,7 @@ class StarRing:
     negation: np.ndarray        # negation[a] = -a
     generators: np.ndarray      # an additive generating set G, ascending
     one: int
-    element_names: tuple[str, ...] | None = None
+    names: Callable[[], tuple[str, ...]] | None = None
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -86,9 +88,14 @@ class StarRing:
     def star(self, a: int) -> int:
         return int(self.involution[self.check(a)])
 
+    @property
+    def element_names(self) -> tuple[str, ...] | None:
+        """The composite's element names; None for a leaf."""
+        return None if self.names is None else self.memo("element_names", self.names)
+
     def name_of(self, a: int) -> str:
         i = self.check(a)
-        return self.element_names[i] if self.element_names else str(i)
+        return str(i) if self.names is None else self.element_names[i]
 
     def memo(self, key: str, build):
         m = self._memo
@@ -289,7 +296,7 @@ def validate_tables(
 
 def _make_ring(
     label: str, add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int,
-    gens: list[int], names: tuple[str, ...] | None = None,
+    gens: list[int], names: Callable[[], tuple[str, ...]] | None = None,
 ) -> StarRing:
     """A ring over tables that satisfy every axiom, with G = ``gens``: a
     leaf's tables are validated, a composite's hold by construction."""
@@ -393,10 +400,13 @@ def build_product(
     (add, mul), digits = _product_tables(orders, tables)
     star = sum(p.involution[d] * wt for p, d, wt in zip(parts, digits.T, w))
     one = sum(p.one * wt for p, wt in zip(parts, w))
-    names = tuple(
-        "(" + ",".join(p.name_of(int(v)) for p, v in zip(parts, row)) + ")"
-        for row in digits
-    )
+
+    def names():
+        return tuple(
+            "(" + ",".join(p.name_of(int(v)) for p, v in zip(parts, row)) + ")"
+            for row in digits
+        )
+
     label = " x ".join(p.label for p in parts)
     return _make_ring(label, add, mul, star, one, _group_generators(add), names)
 
@@ -440,15 +450,18 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
             mul += s.astype(np.int64) * w[c]
             star += base.involution[digits[:, j, i]].astype(np.int64) * w[c]
     one = sum(base.one * w[i * k + i] for i in range(k))
-    names = tuple(
-        "["
-        + ",".join(
-            "[" + ",".join(base.name_of(int(digits[x, i, j])) for j in range(k)) + "]"
-            for i in range(k)
+
+    def names():
+        return tuple(
+            "["
+            + ",".join(
+                "[" + ",".join(base.name_of(int(digits[x, i, j])) for j in range(k)) + "]"
+                for i in range(k)
+            )
+            + "]"
+            for x in range(total)
         )
-        + "]"
-        for x in range(total)
-    )
+
     return _make_ring(f"M{k}({base.label})", add, mul, star, one, _group_generators(add), names)
 
 
@@ -502,13 +515,20 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
         raise RingSpecError("add/mul tables must be square")
     label = f"table{n}"
     tables = []
-    for name, rows in (("add", spec.add), ("mul", spec.mul), ("star", spec.star)):
+    for name, rows, shape in (
+        ("add", spec.add, (n, n)), ("mul", spec.mul, (n, n)), ("star", spec.star, (n,))
+    ):
         try:
-            tables.append(np.array(rows, dtype=np.int64))
+            t = np.array(rows, dtype=np.int64)
         except OverflowError:
             # An entry beyond int64 is out of range too. Entries of n stand
             # for it, so _validated_ring reports the tables in its usual order.
-            tables.append(np.full(np.shape(rows), n))
+            t = np.full(np.shape(rows), n)
+        except (TypeError, ValueError):  # entries that are not all numbers
+            t = None
+        if t is None or t.shape != shape:
+            raise RingSpecError(f"{label}: {name} table entries must be integers")
+        tables.append(t)
     return _validated_ring(label, *tables, int(spec.one))
 
 
@@ -585,14 +605,31 @@ def spec_to_json(spec: RingSpec) -> dict:
     raise RingSpecError(f"not a ring spec: {spec!r}")
 
 
-def realize(spec: RingSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
-    """Materialize a spec tree into a validated ring."""
+def realize(
+    spec: RingSpec, cap: int = DEFAULT_ORDER_CAP, parts: dict | None = None
+) -> StarRing:
+    """Materialize a spec tree into a validated ring.
+
+    Each distinct part spec is built once per call (a leaf is validated
+    then): ``parts`` maps part specs to their rings, so ``(Z2)^8``
+    validates Z2 once. A caller may pass one dict to several calls (``fuzz`` does, for
+    one run). ``spec``'s own ring is never stored: its caller may fill it
+    with memo tables.
+    """
+    if parts is None:
+        parts = {}
+
+    def part(p: RingSpec) -> StarRing:
+        if p not in parts:
+            parts[p] = realize(p, cap, parts)
+        return parts[p]
+
     if isinstance(spec, ModularSpec):
         return build_modular(spec.n, cap)
     if isinstance(spec, ProductSpec):
-        return build_product([realize(p, cap) for p in spec.parts], cap)
+        return build_product([part(p) for p in spec.parts], cap)
     if isinstance(spec, MatrixSpec):
-        return build_matrix(realize(spec.base, cap), spec.k, cap)
+        return build_matrix(part(spec.base), spec.k, cap)
     if isinstance(spec, TableSpec):
         return build_from_tables(spec, cap)
     raise RingSpecError(f"not a ring spec: {spec!r}")

@@ -206,6 +206,13 @@ def oracle_leq(t, a, b):
     return all(mul[mul[a][r]][b] == mul[mul[a][r]][a] for r in range(len(add)))
 
 
+def oracle_star_leq(t, a, b):
+    """The starred variant of the Conrad relation: a*·r·b = a*·r·a for every r."""
+    add, mul, star, one = t
+    x = star[a]
+    return all(mul[mul[x][r]][b] == mul[mul[x][r]][a] for r in range(len(add)))
+
+
 def oracle_orthogonal(t, a, b):
     add, mul, star, one = t
     return all(mul[mul[a][r]][b] == 0 for r in range(len(add)))

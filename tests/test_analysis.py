@@ -288,7 +288,7 @@ class TestCentralCovers:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_tables_match_oracle(self, seed):
-        candidate = _random_table_candidate(random.Random(seed), 8)
+        candidate = _random_table_candidate(random.Random(seed), 8, {})
         try:
             ring = so.build_from_tables(candidate)
         except so.TableValidationError:

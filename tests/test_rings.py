@@ -1,7 +1,11 @@
+import collections
 import dataclasses
 import functools
+import hashlib
 import importlib
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from helpers import (
     ring_tables,
     zn_tables,
 )
+from starorder.cli import main
 from starorder.rings import _first, validate_tables
 
 fuzz = importlib.import_module("starorder.fuzz")  # the package's ``fuzz`` is the function
@@ -202,6 +207,103 @@ class TestCertified:
         assert orders == [3, 5]  # Z3 and Z5; neither M2(Z3) nor the product
 
 
+class TestPartReuse:
+    @pytest.mark.parametrize(
+        "spec, orders",
+        [
+            (so.ProductSpec((so.ModularSpec(2),) * 8), [2]),
+            (so.ProductSpec((so.MatrixSpec(so.ModularSpec(3), 2), so.ModularSpec(5))), [3, 5]),
+            (
+                so.ProductSpec(
+                    (so.MatrixSpec(so.ModularSpec(2), 2), so.ModularSpec(2), so.ModularSpec(2))
+                ),
+                [2],
+            ),
+        ],
+    )
+    def test_each_part_validated_once_per_tree(self, monkeypatch, spec, orders):
+        seen = []
+        real = rings.validate_tables
+        monkeypatch.setattr(
+            rings, "validate_tables", lambda *t: seen.append(len(t[0])) or real(*t)
+        )
+        ring = so.realize(spec)
+        assert seen == orders
+        so.realize(spec)  # a fresh call builds its parts anew
+        assert seen == orders * 2
+        _assert_certified(ring, spec)
+
+    def test_fuzz_validates_each_distinct_part_once(self, monkeypatch):
+        config = fuzz.FuzzConfig(64, ("modular", "product"), 0, 10**6)
+        specs = fuzz.structural_specs(config)
+        part_orders = {p.n for s in specs if isinstance(s, so.ProductSpec) for p in s.parts}
+        seen = []
+        real = rings.validate_tables
+        monkeypatch.setattr(
+            rings, "validate_tables", lambda *t: seen.append(len(t[0])) or real(*t)
+        )
+        monkeypatch.setattr(fuzz, "run_suite", lambda ring: [])
+        assert fuzz.fuzz(config).rings_checked == len(specs)
+        # Each Z_n once as a ring of its own (never reused), once as a part.
+        want = {n: 1 + (n in part_orders) for n in range(1, 65)}
+        assert collections.Counter(seen) == want
+        assert len(seen) == 64 + 31
+
+    def test_fuzz_deep_report_unchanged(self, capsys):
+        # The acceptance fuzz as the benchmark runs it: its bytes hash to
+        # the digest recorded in perfbench/expected.json.
+        expected = json.loads(
+            (Path(__file__).parent.parent / "perfbench" / "expected.json").read_text()
+        )["digests"]["fuzz-deep"]
+        assert expected["seed"] == 42
+        code = main([
+            "fuzz", "--seed", "42", "--max-order", "64",
+            "--families", "matrix,modular,product,random-table", "--budget", "1199",
+        ])
+        out, err = capsys.readouterr()
+        got = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+        assert got == expected["items"]["fuzz"]
+
+
+class TestElementNames:
+    def test_matrix_names(self):
+        m2z2 = so.build_matrix(so.build_modular(2), 2)
+        assert [m2z2.name_of(x) for x in m2z2.elements()] == [
+            "[[0,0],[0,0]]", "[[0,0],[0,1]]", "[[0,0],[1,0]]", "[[0,0],[1,1]]",
+            "[[0,1],[0,0]]", "[[0,1],[0,1]]", "[[0,1],[1,0]]", "[[0,1],[1,1]]",
+            "[[1,0],[0,0]]", "[[1,0],[0,1]]", "[[1,0],[1,0]]", "[[1,0],[1,1]]",
+            "[[1,1],[0,0]]", "[[1,1],[0,1]]", "[[1,1],[1,0]]", "[[1,1],[1,1]]",
+        ]
+        m2z3 = so.build_matrix(so.build_modular(3), 2)
+        assert {x: m2z3.name_of(x) for x in (0, 1, 5, m2z3.one, 41, 80)} == {
+            0: "[[0,0],[0,0]]", 1: "[[0,0],[0,1]]", 5: "[[0,0],[1,2]]",
+            28: "[[1,0],[0,1]]", 41: "[[1,1],[1,2]]", 80: "[[2,2],[2,2]]",
+        }
+
+    def test_nested_product_names(self):
+        ring = so.realize(
+            so.ProductSpec(
+                (so.ProductSpec((so.ModularSpec(2), so.ModularSpec(3))), so.ModularSpec(2))
+            )
+        )
+        assert ring.element_names == (
+            "((0,0),0)", "((0,0),1)", "((0,1),0)", "((0,1),1)", "((0,2),0)", "((0,2),1)",
+            "((1,0),0)", "((1,0),1)", "((1,1),0)", "((1,1),1)", "((1,2),0)", "((1,2),1)",
+        )
+        assert so.build_modular(5).element_names is None
+        assert so.build_modular(5).name_of(3) == "3"
+
+    def test_names_built_on_first_read_only(self):
+        for ring in (
+            so.build_product([so.build_modular(2), so.build_modular(3)]),
+            so.build_matrix(so.build_modular(2), 2),
+        ):
+            assert "element_names" not in ring._memo
+            first = ring.name_of(1)
+            names = ring._memo["element_names"]
+            assert ring.name_of(1) == first and ring.element_names is names
+
+
 class TestTables:
     def test_valid_z6_tables_accepted(self, z6):
         spec = so.ring_to_table_spec(z6)
@@ -239,6 +341,21 @@ class TestTables:
             so.build_from_tables(
                 so.TableSpec(2, ((0, 1), (1,)), ((0, 0), (0, 1)), (0, 1), 0, 1)
             )
+
+    @pytest.mark.parametrize(
+        "add, mul, star",
+        [
+            (((0, 1), (1, 0)), ((0, 0), (0, 1)), ((0,), (1,))),
+            (((0, 1), (1, 0)), ((0, 0), (0, 1)), ((0,), 1)),
+            (((0, (1,)), (1, 0)), ((0, 0), (0, 1)), (0, 1)),
+            (((0, 1), (1, 0)), (((0,), (0,)), ((0,), (1,))), (0, 1)),
+            (((0, 1), (1, 0)), ((0, 0), (0, 1)), (None, 1)),
+        ],
+    )
+    def test_entries_that_are_not_integers_refused(self, add, mul, star):
+        # Not a TableValidationError: there is no axiom witness to report.
+        with pytest.raises(so.RingSpecError, match="entries must be integers"):
+            so.build_from_tables(so.TableSpec(2, add, mul, star, 0, 1))
 
 
 class TestElementOps:
@@ -586,7 +703,7 @@ def _uncached_fuzz(config):
             break
     rng = random.Random(config.seed)
     while "random-table" in config.families and not halted and checked < config.budget:
-        spec = fuzz._random_table_candidate(rng, config.max_order)
+        spec = fuzz._random_table_candidate(rng, config.max_order, {})
         try:
             ring = so.realize(spec)
         except so.TableValidationError:
@@ -606,6 +723,21 @@ def _uncached_fuzz(config):
 
 
 class TestRandomCandidates:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_bases_match_fresh_ones(self, seed):
+        shared, fresh_rng, bases = random.Random(seed), random.Random(seed), {}
+        for _ in range(300):
+            got = fuzz._random_table_candidate(shared, 8, bases)
+            assert got == fuzz._random_table_candidate(fresh_rng, 8, {})
+        assert shared.random() == fresh_rng.random()  # the same draws
+        assert len(bases) < 300
+        for factors, cached in bases.items():
+            for got, want in zip(cached, rings._cyclic_product_tables(factors)):
+                assert np.array_equal(got, want), factors
+            for arr in (cached[0], cached[1], cached[3]):  # add, mul, digits
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
     @pytest.mark.parametrize("n", range(1, fuzz.RANDOM_TABLE_MAX_ORDER + 1))
     def test_unvalidated_base_matches_validated_product(self, n):
         for factors in _factor_lists(n):
