@@ -28,9 +28,7 @@ from .order import (
     is_lattice,
     is_pseudo_lattice,
     join,
-    leq_bruteforce,
     meet,
-    orthogonal,
 )
 from .rings import (
     DEFAULT_ORDER_CAP,

@@ -19,22 +19,15 @@ from .analysis import (
     CheckResult,
     PASS,
     _fail,
+    center_mask,
     cover_ids,
     cover_table,
     CentralCoverTable,
+    projection_mask,
     zero_product_matrix,
 )
 from .errors import PreconditionError
 from .rings import StarRing, _first, _frozen
-
-
-def leq_bruteforce(ring: StarRing, a: int, b: int) -> bool:
-    """a <= b iff a·r·b = a·r·a for every r."""
-    a = ring.check(a)
-    b = ring.check(b)
-    M = ring.multiplication
-    row = M[M[a]]
-    return bool((row[:, b] == row[:, a]).all())
 
 
 def _conrad_matrix(ring: StarRing, key: str, rows: np.ndarray) -> np.ndarray:
@@ -112,10 +105,17 @@ class OrderStructure:
     order: int
     leq: np.ndarray
     diagnostics: OrderDiagnostics
-    cub: np.ndarray  # up > 0: a and b have a common upper bound
+    cub: np.ndarray  # a and b have a common upper bound
     covers: CentralCoverTable
-    up: np.ndarray  # |up(a) ∩ up(b)| at [a, b]: leq @ leq.T in float32
+    # |up(a) ∩ up(b)| at [a, b]: leq @ leq.T in float32; None where the
+    # cover certificate holds, which makes the counts redundant
+    up: np.ndarray | None
     leq_t: np.ndarray  # leq.T, contiguous: row m is the down-set of m
+
+    @property
+    def certified(self) -> bool:
+        """The cover certificate holds (see `_cover_certificate`)."""
+        return self.up is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,7 +128,8 @@ class OrderStructure:
         }
 
 
-def _diagnose(leq: np.ndarray, up: np.ndarray) -> OrderDiagnostics:
+def _diagnose(leq: np.ndarray, up: np.ndarray | None) -> OrderDiagnostics:
+    """``up`` is None where the cover certificate proves transitivity."""
     n = leq.shape[0]
     w = _first(~leq[np.arange(n), np.arange(n)])
     reflexive = AxiomCheck(w is None, w)
@@ -137,25 +138,82 @@ def _diagnose(leq: np.ndarray, up: np.ndarray) -> OrderDiagnostics:
     antisymmetric = AxiomCheck(w is None, w)
 
     # a <= b must give up(b) ⊆ up(a), that is up[a, b] = |up(b)| = up[b, b]
-    w = _first(leq & (up != np.diagonal(up)))
+    w = None if up is None else _first(leq & (up != np.diagonal(up)))
     if w:  # the first a gives [b, c]
         w = (w[0], *_first(leq[w[0]][:, None] & leq & ~leq[w[0]]))
     transitive = AxiomCheck(w is None, w)
     return OrderDiagnostics(reflexive, antisymmetric, transitive)
 
 
+def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
+    """Every C(x) is a central projection, e·y <= y for every central
+    projection e (L0), and every a <= b has a = C(a)·b (F1).
+
+    L0 holds for the Conrad relation of any ring: for x = e·y,
+    x·r·(y − x) = e·y·r·(1 − e)·y = e(1 − e)·y·r·y = 0. Each term is
+    checked on the stored relation and covers, so an array written into
+    the memo that breaks one takes the count path. Below e, f, g are
+    central projections, and x <= y follows from x = e·y by L0. Two more
+    facts follow from the terms:
+    - C(x)·x = x: L0 at e = 1 gives x <= x, and F1 at (x, x).
+    - Minimality, C(x)·e = C(x) wherever e·x = x: put g = C(x)(1 − e).
+      Then x·g = 0, so (1 − g)(x + g) = x and x <= x + g; F1 gives
+      x = C(x)(x + g) = x + g, so g = 0.
+    Where the certificate holds:
+    - transitivity: a <= b <= c gives a = C(a)C(b)·c by F1. So C(b)·a = a,
+      C(a)C(b) = C(a) by minimality, a = C(a)·c and a <= c.
+    - cub: let v bound a and b. F1 gives a·C(b) = C(a)C(b)·v = b·C(a), so
+      j = a + b − a·C(b) has C(a)·j = a and C(b)·j = b, and j bounds both.
+      So a and b have a common upper bound iff j is one.
+    - lub: for an upper bound c of a and b, F1 gives
+      j = (C(a) + C(b) − C(a)C(b))·c <= c. So j is the join where it
+      bounds a and b.
+    - glb: for a lower bound c of a and b, F1 gives c = C(c)·a = C(c)·b.
+      So C(b)·c = c, C(c) = C(c)C(b) and c = C(c)·(a·C(b)) <= a·C(b).
+      So a·C(b) is the meet where it bounds a and b from below.
+    """
+    central = projection_mask(ring) & center_mask(ring)
+    return (
+        central[cover_ids(ring)].all()
+        and not (leq & ~cover_leq_matrix(ring)).any()
+        and leq[ring.multiplication[central], np.arange(ring.order)].all()
+    )
+
+
+def _formula_tables(ring: StarRing) -> tuple[np.ndarray, np.ndarray]:
+    """The cover formula values a·C(b) and a + b − a·C(b) at [a, b], as
+    new writable arrays."""
+    mv = np.take(ring.multiplication, cover_ids(ring), axis=1)
+    return mv, ring.sub_table()[ring.addition, mv]
+
+
+def _bounds(leq: np.ndarray, values: np.ndarray, above: bool) -> np.ndarray:
+    """values[a, b] bounds a and b from above (``above``) or below."""
+    idx = np.arange(leq.shape[0])
+    if above:
+        return leq[idx[:, None], values] & leq[idx[None, :], values]
+    return leq[values, idx[:, None]] & leq[values, idx[None, :]]
+
+
 def build_order(ring: StarRing) -> OrderStructure:
-    """Fill the relation by brute force and diagnose the order axioms."""
+    """Fill the relation by brute force and diagnose the order axioms.
+
+    Where the cover certificate holds, transitivity and the common upper
+    bounds follow from it; elsewhere they come from the up-set counts."""
 
     def build():
         leq = leq_matrix(ring)
-        up = _frozen(_counts(leq))
+        if _cover_certificate(ring, leq):
+            up, cub = None, _bounds(leq, _formula_tables(ring)[1], True)
+        else:
+            up = _frozen(_counts(leq))
+            cub = up > 0
         return OrderStructure(
             ring.label,
             ring.order,
             leq,
             _diagnose(leq, up),
-            _frozen(up > 0),
+            _frozen(cub),
             cover_table(ring),
             up,
             _frozen(np.ascontiguousarray(leq.T)),
@@ -220,34 +278,33 @@ def pair_tables(ring: StarRing) -> PairTables:
 
     def build():
         structure = _partial_order(ring)
-        M = ring.multiplication
-        A = ring.addition
-        S = ring.sub_table()
         leq, leq_t, cub, up = structure.leq, structure.leq_t, structure.cub, structure.up
-        covers = cover_ids(ring)
-        idx = np.arange(ring.order)
-
-        mv = np.take(M, covers, axis=1)  # mv[a, b] = a·C(b)
-        jv = S[A, mv]                     # jv[a, b] = (a+b) - mv
-        lower = leq[mv, idx[:, None]] & leq[mv, idx[None, :]]  # mv <= a, b
-        upper = leq[idx[:, None], jv] & leq[idx[None, :], jv]  # a, b <= jv
-        # A common upper bound v of a and b is least iff |up(v)| = |up(a) ∩
-        # up(b)|, by transitivity; dually for the meet. |up(v)| is a diagonal
-        # entry. The formula values are expected to verify where a common
-        # upper bound exists; each that does not becomes -1 in place, and a
-        # raw scan below replaces it where a bound exists.
-        down = _counts(leq_t)  # |down(a) ∩ down(b)| at [a, b]
-        for values, ok, counts in ((mv, lower, down), (jv, upper, up)):
-            ok &= cub
-            ok &= counts == np.diagonal(counts)[values]
-            values[~ok] = -1
-        certified = _segment_certificate(zero_product_matrix(ring), A, cub, mv, jv)
+        mv, jv = _formula_tables(ring)  # a·C(b) and (a+b) - a·C(b)
+        lower = _bounds(leq, mv, False)
+        # The formula values are expected to verify where a common upper
+        # bound exists; each that does not becomes -1 in place, and a raw
+        # scan below replaces it where a bound exists. Where the cover
+        # certificate holds, a bounding formula value is the glb or lub, and
+        # the join formula bounds exactly the pairs of `cub`.
+        if structure.certified:
+            mv[~(lower & cub)] = -1
+            jv[~cub] = -1
+        else:
+            # A common upper bound v of a and b is least iff |up(v)| =
+            # |up(a) ∩ up(b)|, by transitivity; dually for the meet. |up(v)|
+            # is a diagonal entry.
+            down = _counts(leq_t)  # |down(a) ∩ down(b)| at [a, b]
+            for values, ok, counts in ((mv, lower, down), (jv, _bounds(leq, jv, True), up)):
+                ok &= cub
+                ok &= counts == np.diagonal(counts)[values]
+                values[~ok] = -1
+        segments_ok = _segment_certificate(zero_product_matrix(ring), ring.addition, cub, mv, jv)
         for values, rel in ((mv, leq_t), (jv, leq)):
             for a, b in np.argwhere(cub & (values < 0)):
                 v = _least_upper(rel, int(a), int(b))
                 if v is not None:
                     values[a, b] = v
-        return PairTables(cub, _frozen(mv), _frozen(jv), certified)
+        return PairTables(cub, _frozen(mv), _frozen(jv), segments_ok)
 
     return ring.memo("pair_tables", build)
 
@@ -285,14 +342,6 @@ def is_pseudo_lattice(ring: StarRing) -> CheckResult:
     pt = pair_tables(ring)
     w = _first(pt.cub & (np.minimum(pt.meet, pt.join) < 0))
     return _fail(w) if w else PASS
-
-
-def orthogonal(ring: StarRing, a: int, b: int) -> bool:
-    """a ⊥ b iff a·r·b = 0 for every r."""
-    a = ring.check(a)
-    b = ring.check(b)
-    M = ring.multiplication
-    return not M[M[a], b].any()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Everything here works on plain list-of-list tables with naive loops; no
 numpy and no package internals, so a disagreement points at a real bug.
+`leq_bruteforce` and `orthogonal` take a StarRing and loop over its
+multiplication table the same way.
 """
 
 from __future__ import annotations
@@ -204,6 +206,18 @@ def oracle_cover(t, x):
 def oracle_leq(t, a, b):
     add, mul, star, one = t
     return all(mul[mul[a][r]][b] == mul[mul[a][r]][a] for r in range(len(add)))
+
+
+def leq_bruteforce(ring, a, b):
+    """a <= b in a StarRing, scanned over every r of its own tables."""
+    mul = ring.multiplication
+    return all(mul[mul[a][r]][b] == mul[mul[a][r]][a] for r in range(ring.order))
+
+
+def orthogonal(ring, a, b):
+    """a ⊥ b in a StarRing: a·r·b = 0 for every r of its own tables."""
+    mul = ring.multiplication
+    return all(mul[mul[a][r]][b] == 0 for r in range(ring.order))
 
 
 def oracle_star_leq(t, a, b):

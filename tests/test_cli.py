@@ -24,6 +24,16 @@ SWAP = json.dumps(
         "one": 3,
     }
 )
+# M2(Z2) x Z2: noncommutative and p.q.-Baer *, so its order is certified.
+M2Z2XZ2 = json.dumps(
+    {
+        "type": "product",
+        "parts": [
+            {"type": "matrix", "base": {"type": "modular", "n": 2}, "k": 2},
+            {"type": "modular", "n": 2},
+        ],
+    }
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "z6.dot"
 FUZZ_GOLDEN = Path(__file__).parent / "golden" / "fuzz_seed7.json"
@@ -236,8 +246,9 @@ class TestSegment:
 
 class TestGoldenOutput:
     # The bytes and exit code of `order`, `segment` and `hasse`, as recorded
-    # under tests/golden/. The swap ring's pair tables certify no segment,
-    # so its segments take the full scan; Z4 is not a partial order.
+    # under tests/golden/. Z6 and M2(Z2) x Z2 take the cover certificate;
+    # the swap ring does not, and its pair tables certify no segment, so
+    # its segments take the full scan; Z4 is not a partial order.
     @pytest.mark.parametrize(
         "golden, argv, code",
         [
@@ -250,6 +261,7 @@ class TestGoldenOutput:
             ("swap.segment-3.json", ("segment", SWAP, "--top", "3"), 0),
             ("swap.dot", ("hasse", SWAP), 0),
             ("z4.segment-2.json", ("segment", Z4, "--top", "2"), 1),
+            ("m2z2xz2.order.json", ("order", M2Z2XZ2), 0),
         ],
     )
     def test_matches_golden(self, capsys, golden, argv, code):

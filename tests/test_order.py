@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import assume, given, strategies as st
 import starorder as so
 from corpus import fresh, random_partial_order
 from starorder import analysis, order, rings, theorems
-from starorder.fuzz import _random_table_candidate
+from starorder.fuzz import RANDOM_TABLE_MAX_ORDER, _random_table_candidate
 from helpers import (
+    leq_bruteforce,
     oracle_covering_edges,
     oracle_glb,
     oracle_leq,
@@ -17,6 +19,7 @@ from helpers import (
     oracle_order_diagnostics,
     oracle_pair_tables,
     oracle_star_leq,
+    orthogonal,
     ring_tables,
 )
 
@@ -35,10 +38,10 @@ Z6_LEQ = {(0, b) for b in range(6)} | {
 
 class TestRelationVariants:
     def test_z6_examples(self, z6):
-        assert so.leq_bruteforce(z6, 2, 5)
-        assert not so.leq_bruteforce(z6, 4, 5)
+        assert leq_bruteforce(z6, 2, 5)
+        assert not leq_bruteforce(z6, 4, 5)
         for b in z6.elements():
-            assert so.leq_bruteforce(z6, 0, b)
+            assert leq_bruteforce(z6, 0, b)
 
     def test_z6_full_relation_matches_oracle(self, z6):
         t = ring_tables(z6)
@@ -47,7 +50,7 @@ class TestRelationVariants:
             (a, b)
             for a in z6.elements()
             for b in z6.elements()
-            if so.leq_bruteforce(z6, a, b)
+            if leq_bruteforce(z6, a, b)
         }
         assert got == Z6_LEQ
 
@@ -55,14 +58,14 @@ class TestRelationVariants:
         t = ring_tables(z6)
         for a in z6.elements():
             for b in z6.elements():
-                assert oracle_star_leq(t, a, b) == so.leq_bruteforce(z6, a, b)
+                assert oracle_star_leq(t, a, b) == leq_bruteforce(z6, a, b)
 
     def test_three_way_agreement_m2z2(self, m2z2):
         cover_leq = order.cover_leq_matrix(m2z2)
         t = ring_tables(m2z2)
         for a in m2z2.elements():
             for b in m2z2.elements():
-                brute = so.leq_bruteforce(m2z2, a, b)
+                brute = leq_bruteforce(m2z2, a, b)
                 assert oracle_star_leq(t, a, b) == brute
                 assert cover_leq[a, b] == brute
 
@@ -74,7 +77,7 @@ class TestRelationVariants:
 
     def test_divergence_on_non_pq(self, z4):
         # 2 <= 0 by brute force, but the cover route disagrees: C(2)·0 = 0.
-        assert so.leq_bruteforce(z4, 2, 0)
+        assert leq_bruteforce(z4, 2, 0)
         assert not order.cover_leq_matrix(z4)[2, 0]
 
 
@@ -105,7 +108,9 @@ class TestBuildOrder:
         # first failing axiom in field order, and the JSON keeps to the fields.
         # Every axiom's witness matches the oracle, so the transitivity
         # witness, read from the up-set counts, is also checked on relations
-        # that are not reflexive or not antisymmetric.
+        # that are not reflexive or not antisymmetric. A relation left
+        # unflipped keeps the cover certificate, which proves transitivity;
+        # a flip that breaks L0 or F1 must take the counts.
         rng = random.Random(3)
         names = ("reflexive", "antisymmetric", "transitive")
         seen = set()
@@ -150,7 +155,7 @@ def assert_tables_match_exhaustive(r):
     star_leq = lambda _, a, b: oracle_star_leq(t, a, b)
     want = [
         [[f(r, a, b) for b in r.elements()] for a in r.elements()]
-        for f in (so.leq_bruteforce, star_leq, so.orthogonal)
+        for f in (leq_bruteforce, star_leq, orthogonal)
     ]
     for block in (rings._BLOCK, 1, 50):
         with pytest.MonkeyPatch.context() as mp:
@@ -380,13 +385,19 @@ class TestPairTables:
 
     def test_counts_decide_every_pair_of_a_pq_baer_ring(self, curated_pq):
         # On a p.q.-Baer *-ring the cover formulas give the glb and lub of
-        # every pair with a common upper bound, so the down-set and up-set
-        # counts verify each one and no pair reaches the scan.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(order, "_least_upper", lambda *args: pytest.fail(f"scanned {args[1:]}"))
-            for r in curated_pq:
-                pt = order.pair_tables(fresh(r))
-                assert (np.minimum(pt.meet, pt.join)[pt.cub] >= 0).all(), r.label
+        # every pair with a common upper bound, so the cover certificate, and
+        # the down-set and up-set counts where it is switched off, verify
+        # each one and no pair reaches the scan.
+        for certificate in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(order, "_least_upper", lambda *args: pytest.fail(f"scanned {args[1:]}"))
+                if not certificate:
+                    mp.setattr(order, "_cover_certificate", lambda *args: False)
+                for r in curated_pq:
+                    s = fresh(r)
+                    pt = order.pair_tables(s)
+                    assert order.build_order(s).certified == certificate, r.label
+                    assert (np.minimum(pt.meet, pt.join)[pt.cub] >= 0).all(), r.label
 
     @pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
     def test_counting_path_matches_oracle(self, curated_pq, block):
@@ -445,6 +456,106 @@ class TestPairTables:
             assert {(True, kind, True, True), (True, kind, False, True)} <= found, kind
         assert (True, "join", False, False) in found  # a bounded pair with no join
         assert "refused" in found
+
+
+def _order_outputs(ring) -> tuple[bool, str]:
+    """Whether the cover certificate holds on a fresh copy of ``ring``, and
+    everything its order yields: the relation and `cub`, the order JSON
+    with the diagnostics, the pair tables of a partial order, and all
+    verdicts."""
+    s = fresh(ring)
+    structure = order.build_order(s)
+    out = [structure.leq.tolist(), structure.cub.tolist(), structure.to_json_dict()]
+    if structure.diagnostics.all_pass:
+        pt = order.pair_tables(s)
+        out += [pt.meet.tolist(), pt.join.tolist(), pt.segments_ok]
+    out.append([v.to_json_dict() for v in theorems.run_suite(s)])
+    return structure.certified, json.dumps(out)
+
+
+def _count_path(mp):
+    """Switch off the cover certificate and the covers' "descends" premise,
+    so every ring takes the count products and scans."""
+    mp.setattr(order, "_cover_certificate", lambda *args: False)
+    mp.setattr(theorems, "_covers_decide_descends", lambda *args: False)
+
+
+def _certificate_corpus(curated_pq, swap_ring, t2z2, non_semiprime):
+    """The curated corpus and the rings off its hypotheses, the structural
+    specs up to order 64, and the distinct valid random tables of fuzz
+    seeds 0-3."""
+    rings = curated_pq + [swap_ring, t2z2] + non_semiprime
+    config = so.FuzzConfig(64, so.FAMILIES, 0, 1)
+    rings += [so.realize(spec) for spec in so.structural_specs(config)]
+    for seed in range(4):
+        rng, bases, seen = random.Random(seed), {}, set()
+        for _ in range(200):
+            candidate = _random_table_candidate(rng, RANDOM_TABLE_MAX_ORDER, bases)
+            if candidate in seen:
+                continue
+            seen.add(candidate)
+            try:
+                rings.append(so.build_from_tables(candidate))
+            except so.TableValidationError:
+                pass
+    return rings
+
+
+class TestCoverCertificate:
+    def test_certified_order_matches_the_count_path(
+        self, curated_pq, swap_ring, t2z2, non_semiprime
+    ):
+        # Every table, the order JSON and all 19 verdicts are the same with
+        # the certificate as with the count path. The paper proves F1 on
+        # every p.q.-Baer *-ring, so each of them takes the certificate.
+        seen = set()
+        for r in _certificate_corpus(curated_pq, swap_ring, t2z2, non_semiprime):
+            certified, got = _order_outputs(r)
+            with pytest.MonkeyPatch.context() as mp:
+                _count_path(mp)
+                forced, want = _order_outputs(r)
+            assert not forced
+            assert got == want, r.label
+            pq = so.classify(r).is_pq_baer_star
+            assert certified or not pq, r.label
+            seen.add((pq, certified))
+        assert seen >= {(True, True), (False, False)}
+
+    def test_non_minimal_covers_take_the_count_path(self, curated_pq):
+        # A cover array written into the memo with C(x) raised to a larger
+        # central projection f breaks F1: with g = f(1 − C(x)) ≠ 0,
+        # x <= x + g but f·(x + g) = x + g. The tables are the count path's
+        # and the oracle's.
+        rng = random.Random(23)
+        changed = 0
+        for r in [s for s in curated_pq if s.order <= 30]:
+            covers = analysis.cover_ids(r)
+            cps = analysis.central_projection_ids(r)
+            M = r.multiplication
+            for x in rng.sample(range(r.order), min(r.order, 4)):
+                larger = [int(f) for f in cps if M[covers[x], f] == covers[x] != f]
+                if not larger:
+                    continue
+                bad = np.array(covers)
+                bad[x] = rng.choice(larger)
+                tables = []
+                for count_path in (False, True):
+                    s = fresh(r)
+                    s._memo["cover_ids"] = bad
+                    with pytest.MonkeyPatch.context() as mp:
+                        if count_path:
+                            _count_path(mp)
+                        structure = order.build_order(s)
+                        pt = order.pair_tables(s)
+                    assert not structure.certified, (r.label, x)
+                    tables.append([a.tolist() for a in (structure.cub, pt.meet, pt.join)])
+                    tables[-1].append(pt.segments_ok)
+                assert tables[0] == tables[1], (r.label, x)
+                pairs = {(int(a), int(b)) for a, b in np.argwhere(order.leq_matrix(r))}
+                for (a, b), (m, j) in oracle_pair_tables(r.order, pairs).items():
+                    assert (tables[0][1][a][b], tables[0][2][a][b]) == (m, j), (r.label, x)
+                changed += 1
+        assert changed
 
 
 def test_meets_and_joins_refuse_non_orders(non_semiprime, t2z2):
@@ -515,8 +626,8 @@ class TestIdealsAndProblem2:
         assert np.flatnonzero(two & three).tolist() == [0]
 
     def test_spec_triple(self, z6):
-        assert so.leq_bruteforce(z6, 2, 5) and so.leq_bruteforce(z6, 3, 5)
-        assert so.leq_bruteforce(z6, z6.add(2, 3), 5)
+        assert leq_bruteforce(z6, 2, 5) and leq_bruteforce(z6, 3, 5)
+        assert leq_bruteforce(z6, z6.add(2, 3), 5)
 
     def test_passes_on_small_carriers(self, z6, z2xz2, m2z2):
         for r in (z6, z2xz2, m2z2):
@@ -570,7 +681,7 @@ def test_leq_matches_oracle_on_random_pairs(n, data):
     t = ring_tables(r)
     a = data.draw(st.integers(min_value=0, max_value=n - 1))
     b = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert so.leq_bruteforce(r, a, b) == oracle_leq(t, a, b)
+    assert leq_bruteforce(r, a, b) == oracle_leq(t, a, b)
 
 
 @given(st.integers(min_value=2, max_value=24))
