@@ -145,6 +145,14 @@ def cover_ids(ring: StarRing) -> np.ndarray:
     return ring.memo("cover_ids", build)
 
 
+def cover_products(ring: StarRing) -> np.ndarray:
+    """C(a)·C(b) at [a, b], as a new array. Gathering the columns C(b)
+    first, then whole rows, is about three times faster than one
+    ``np.ix_`` gather at n = 405."""
+    covers = cover_ids(ring)
+    return np.take(ring.multiplication, covers, axis=1)[covers]
+
+
 def central_cover(ring: StarRing, x: int) -> int:
     """Least central projection h with h·x = x."""
     return int(cover_ids(ring)[ring.check(x)])

@@ -21,6 +21,7 @@ from .analysis import (
     _fail,
     center_mask,
     cover_ids,
+    cover_products,
     cover_table,
     CentralCoverTable,
     projection_mask,
@@ -147,18 +148,25 @@ def _diagnose(leq: np.ndarray, up: np.ndarray | None) -> OrderDiagnostics:
 
 def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
     """Every C(x) is a central projection, e·y <= y for every central
-    projection e (L0), and every a <= b has a = C(a)·b (F1).
+    projection e (L0), every a <= b has a = C(a)·b (F1), and x ⊥ y iff
+    C(x)·C(y) = 0 (OC).
 
     L0 holds for the Conrad relation of any ring: for x = e·y,
     x·r·(y − x) = e·y·r·(1 − e)·y = e(1 − e)·y·r·y = 0. Each term is
-    checked on the stored relation and covers, so an array written into
-    the memo that breaks one takes the count path. Below e, f, g are
-    central projections, and x <= y follows from x = e·y by L0. Two more
-    facts follow from the terms:
+    checked on the stored relation, zero-product matrix and covers, so an
+    array written into the memo that breaks one takes the count path. OC
+    is tested last, so a ring that fails an earlier term does no more
+    work. Below e and g are central projections, and x <= y follows from
+    x = e·y by L0. Three more facts follow from the terms:
     - C(x)·x = x: L0 at e = 1 gives x <= x, and F1 at (x, x).
     - Minimality, C(x)·e = C(x) wherever e·x = x: put g = C(x)(1 − e).
       Then x·g = 0, so (1 − g)(x + g) = x and x <= x + g; F1 gives
       x = C(x)(x + g) = x + g, so g = 0.
+    - x ⊥ y iff C(x)·y = 0: by OC, C(x)C(y) = 0 gives C(x)·y =
+      C(x)C(y)·y = 0, and C(x)·y = 0 makes 1 − C(x) fix y, so
+      C(y)C(x) = 0 by minimality. So Z is symmetric, its rows and columns
+      are additive subgroups, and a <= b iff Z[a, b − a]: a = C(a)·b gives
+      C(a)·(b − a) = 0, and Z[a, c] gives C(a)·(a + c) = a.
     Where the certificate holds:
     - transitivity: a <= b <= c gives a = C(a)C(b)·c by F1. So C(b)·a = a,
       C(a)C(b) = C(a) by minimality, a = C(a)·c and a <= c.
@@ -171,12 +179,23 @@ def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
     - glb: for a lower bound c of a and b, F1 gives c = C(c)·a = C(c)·b.
       So C(b)·c = c, C(c) = C(c)C(b) and c = C(c)·(a·C(b)) <= a·C(b).
       So a·C(b) is the meet where it bounds a and b from below.
+    - (P) a pair with a common upper bound has a meet and a join, the
+      formula values: j bounds both by cub, and a·C(b) = C(b)·a = C(a)·b,
+      by cub's F1 line, is below both by L0.
+    - (O) x ⊥ y gives meet 0 and join x + y: x·C(y) = 0, so the formula
+      values are 0, below both by L0, and x + y, which bounds both as
+      C(x)·(x + y) = x and C(y)·(x + y) = y.
+    - descends: x <= y gives C(y)·x = x by F1, so C(x)C(y) = C(x) by
+      minimality; y ⊥ z gives C(x)C(z) = C(x)C(y)C(z) = 0, so x ⊥ z by OC.
+    - cancellation: x ⊥ y, x ⊥ z and y <= x∨z = x + z, by (O), give
+      y = C(y)·(x + z) = C(y)·z by F1, as C(y)·x = 0. So y <= z.
     """
     central = projection_mask(ring) & center_mask(ring)
     return (
         central[cover_ids(ring)].all()
         and not (leq & ~cover_leq_matrix(ring)).any()
         and leq[ring.multiplication[central], np.arange(ring.order)].all()
+        and np.array_equal(zero_product_matrix(ring), cover_products(ring) == 0)
     )
 
 
@@ -245,14 +264,11 @@ class PairTables:
     pair without a common upper bound holds -1 in both. Each is the cover
     formula value a·C(b) or a+b-a·C(b) where that verifies, else a scanned
     one, so a value differing from the formula is itself a finding.
-    ``segments_ok`` certifies every initial segment (see
-    `initial_segment`).
     """
 
     cub: np.ndarray
     meet: np.ndarray
     join: np.ndarray
-    segments_ok: bool
 
 
 def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
@@ -263,14 +279,6 @@ def _least_upper(leq: np.ndarray, a: int, b: int) -> int | None:
         return None
     w = _first(leq[np.ix_(ub, ub)].all(axis=1))
     return int(ub[w[0]]) if w else None
-
-
-def _segment_certificate(Z, A, cub, meet, join) -> bool:
-    """(P) and (O) of `initial_segment`, on the formula tables before any
-    scan. Where (P) holds, no pair is scanned."""
-    return not (cub & (np.minimum(meet, join) < 0)).any() and not (
-        Z & ~((meet == 0) & (join == A))
-    ).any()
 
 
 def pair_tables(ring: StarRing) -> PairTables:
@@ -298,13 +306,12 @@ def pair_tables(ring: StarRing) -> PairTables:
                 ok &= cub
                 ok &= counts == np.diagonal(counts)[values]
                 values[~ok] = -1
-        segments_ok = _segment_certificate(zero_product_matrix(ring), ring.addition, cub, mv, jv)
         for values, rel in ((mv, leq_t), (jv, leq)):
             for a, b in np.argwhere(cub & (values < 0)):
                 v = _least_upper(rel, int(a), int(b))
                 if v is not None:
                     values[a, b] = v
-        return PairTables(cub, _frozen(mv), _frozen(jv), segments_ok)
+        return PairTables(cub, _frozen(mv), _frozen(jv))
 
     return ring.memo("pair_tables", build)
 
@@ -406,19 +413,18 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     ring's own subtraction m - (m - a) = a always holds, so it fires only
     on an inconsistent ``sub_table``.
 
-    Where ``pt.segments_ok`` holds, every check passes for every m, and
-    none is scanned. x <= y iff Z[x, y - x], and the rows and columns of Z
-    are additive subgroups. The certificate, on the formula tables before
-    any scan: (P) a common upper bound gives a verified meet and join, and
-    (O) Z[a, b] gives meet 0 and join a + b. So Z is symmetric: by (O) a + b
-    bounds b, and b <= a + b is Z[b, a]. And a <= b gives a = b·C(a) ∈ bR:
-    by (P) the formula glb of b and a verifies, and that glb is a. A
-    verified glb or lub of a pair below m is its segment glb or lub. For
-    a <= b <= m put c = b - a and d = m - b, so Z[a, c] and Z[b, d]:
+    Where the cover certificate holds (``structure.certified``), every
+    check passes for every m, and none is scanned. `_cover_certificate`
+    proves that Z is symmetric, that its rows and columns are additive
+    subgroups, that x <= y iff Z[x, y - x], "descends", and the pair-table
+    facts (P), a common upper bound gives a meet and a join, and (O),
+    Z[a, b] gives meet 0 and join a + b. A glb or lub of a pair below m is
+    its segment glb or lub. For a <= b <= m put c = b - a and d = m - b, so
+    Z[a, c] and Z[b, d]:
     - complement-in-segment: m - a <= m is Z[m - a, a], by symmetry.
     - complement meet and join: a ⊥ m - a, so (O). Involution: arithmetic.
-    - antitone: m - b <= m - a is Z[d, c]. Z[b, d] and a ∈ bR give Z[a, d],
-      so Z[c, d] as column d is a subgroup, and symmetry.
+    - antitone: m - b <= m - a is Z[d, c]. Z[b, d] and a <= b give Z[a, d]
+      by descends, so Z[c, d] as column d is a subgroup, and symmetry.
     - orthogonal joins: m bounds every pair, so (P).
     - decomposition: take c. Z[c, a] and Z[c, d] give c <= m, Z[a, d]
       gives a <= m - c, and a∨c = a + c = b by (O).
@@ -427,7 +433,6 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     structure = build_order(ring)
     leq = structure.leq
     S = ring.sub_table()
-    pt = pair_tables(ring) if structure.diagnostics.all_pass else None
 
     elems = structure.leq_t[m].nonzero()[0]
     comp_raw = S[m, elems]
@@ -443,8 +448,9 @@ def initial_segment(ring: StarRing, m: int) -> SegmentPoset:
     def wit(axiom, parts):
         return {"axiom": axiom, "elements": [int(v) for v in parts]}
 
-    if pt is not None and pt.segments_ok:
+    if structure.certified:
         return make(True, True, True, None)
+    pt = pair_tables(ring) if structure.diagnostics.all_pass else None
     w = _first(~structure.leq_t[m, comp_raw])
     if w:
         return make(False, False, False, wit("complement-in-segment", elems[list(w)]))

@@ -167,8 +167,7 @@ def _check_subtractivity_forward(ring: StarRing) -> CheckResult:
     if w:
         return _fail(w, "cover-subtraction")
     idx = np.arange(ring.order)
-    cc = M[np.ix_(covers, covers)]  # C(a)·C(b) at [a, b]
-    w = _first(leq & (cc != covers[:, None]))
+    w = _first(leq & (analysis.cover_products(ring) != covers[:, None]))
     if w:
         return _fail(w, "cover-monotone")
     acb = np.take(M, covers, axis=1)  # a·C(b)
@@ -320,24 +319,16 @@ def _check_problem2(ring: StarRing) -> CheckResult:
     return _fail((*w, *_first(fails(*w))), "right-ideal-form") if w else PASS
 
 
-def _covers_decide_descends(ring: StarRing, Z: np.ndarray, leq: np.ndarray) -> bool:
-    """Whether x <= y and y ⊥ z give x ⊥ z by the covers: Z[y, z] iff
-    C(y)·C(z) = 0, and x <= y gives C(x)·C(y) = C(x). Then x <= y ⊥ z gives
-    C(x)·C(z) = C(x)·C(y)·C(z) = 0 by associativity, so x ⊥ z."""
-    covers = analysis.cover_ids(ring)
-    cc = ring.multiplication[np.ix_(covers, covers)]  # C(a)·C(b) at [a, b]
-    return not (Z != (cc == 0)).any() and not (leq & (cc != covers[:, None])).any()
-
-
 def _check_orthogonality_axioms(ring: StarRing) -> CheckResult:
-    """Symmetry, downward inheritance, and 0 ⊥ x, checked exhaustively."""
+    """Symmetry, downward inheritance, and 0 ⊥ x, checked exhaustively.
+    The cover certificate of `order.build_order` proves "descends"."""
     Z = analysis.zero_product_matrix(ring)
     leq = order.leq_matrix(ring)
     w = _first(Z != Z.T)
     if w:
         return _fail(w, "symmetry")
 
-    if not _covers_decide_descends(ring, Z, leq):
+    if not order.build_order(ring).certified:
         # [x, z]: some y >= x has y ⊥ z, but not x ⊥ z; the first x gives [y, z].
         w = _first((order._counts(leq, Z) > 0) & ~Z)
         if w:
@@ -356,27 +347,15 @@ def _check_ortho_join(ring: StarRing) -> CheckResult:
     return _fail(w) if w else PASS
 
 
-def _covers_decide_cancellation(ring: StarRing, Z: np.ndarray) -> bool:
-    """Whether cancellation follows from the cover certificate of
-    `order.build_order` and x·C(y) = 0 for every x ⊥ y.
-
-    With the facts proved in `order._cover_certificate`: x ⊥ z gives
-    x·C(z) = 0, so 1 − C(z) fixes x and C(x)·C(z) = 0 by minimality. Then
-    j = x + z bounds x and z, and x∨z = x + z. x ⊥ y gives C(y)·x = 0, so
-    y <= x + z gives y = C(y)·(x + z) = C(y)·z by F1, and y <= z."""
-    if not order.build_order(ring).certified:
-        return False
-    x, y = np.nonzero(Z)
-    return not ring.multiplication[x, analysis.cover_ids(ring)[y]].any()
-
-
 def _check_cancellation(ring: StarRing) -> CheckResult:
-    """x ⊥ y, x ⊥ z, y <= x∨z imply y <= z, over all triples."""
-    Z = analysis.zero_product_matrix(ring)
-    if _covers_decide_cancellation(ring, Z):
+    """x ⊥ y, x ⊥ z, y <= x∨z imply y <= z, over all triples. The cover
+    certificate of `order.build_order` proves it."""
+    structure = order.build_order(ring)
+    if structure.certified:
         return PASS
+    Z = analysis.zero_product_matrix(ring)
     pt = order.pair_tables(ring)
-    leqT = order.build_order(ring).leq_t
+    leqT = structure.leq_t
     xs, zs = np.nonzero(Z & (pt.join >= 0))  # z ⊥ x with a join x∨z
     js = pt.join[xs, zs]
 
@@ -413,13 +392,9 @@ def _check_quasi_orthomodular(ring: StarRing) -> CheckResult:
 
 
 def _check_ortho_cover_equivalence(ring: StarRing) -> CheckResult:
-    covers = analysis.cover_ids(ring)
     Z = analysis.zero_product_matrix(ring)
-    cc = ring.multiplication[np.ix_(covers, covers)] == 0
-    w = _first(Z != cc)
-    if w:
-        return _fail(w)
-    return PASS
+    w = _first(Z != (analysis.cover_products(ring) == 0))
+    return _fail(w) if w else PASS
 
 
 def _check_ortho_decomposition(ring: StarRing) -> CheckResult:

@@ -468,16 +468,15 @@ def _order_outputs(ring) -> tuple[bool, str]:
     out = [structure.leq.tolist(), structure.cub.tolist(), structure.to_json_dict()]
     if structure.diagnostics.all_pass:
         pt = order.pair_tables(s)
-        out += [pt.meet.tolist(), pt.join.tolist(), pt.segments_ok]
+        out += [pt.meet.tolist(), pt.join.tolist()]
     out.append([v.to_json_dict() for v in theorems.run_suite(s)])
     return structure.certified, json.dumps(out)
 
 
 def _count_path(mp):
-    """Switch off the cover certificate and the covers' "descends" premise,
-    so every ring takes the count products and scans."""
+    """Switch off the cover certificate, so every ring takes the count
+    products and scans."""
     mp.setattr(order, "_cover_certificate", lambda *args: False)
-    mp.setattr(theorems, "_covers_decide_descends", lambda *args: False)
 
 
 def _certificate_corpus(curated_pq, swap_ring, t2z2, non_semiprime):
@@ -549,7 +548,6 @@ class TestCoverCertificate:
                         pt = order.pair_tables(s)
                     assert not structure.certified, (r.label, x)
                     tables.append([a.tolist() for a in (structure.cub, pt.meet, pt.join)])
-                    tables[-1].append(pt.segments_ok)
                 assert tables[0] == tables[1], (r.label, x)
                 pairs = {(int(a), int(b)) for a, b in np.argwhere(order.leq_matrix(r))}
                 for (a, b), (m, j) in oracle_pair_tables(r.order, pairs).items():

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 
@@ -9,12 +8,16 @@ import starorder as so
 from corpus import fresh
 from helpers import (
     leq_bruteforce,
+    oracle_annihilator_identity,
     oracle_cancellation,
     oracle_cancellation_failures,
+    oracle_central_projections,
+    oracle_cover,
     oracle_leq,
     oracle_leq_pairs,
     oracle_orthogonal,
     oracle_orthogonality_axioms,
+    oracle_pair_tables,
     oracle_segment,
     orthogonal,
     ring_tables,
@@ -63,10 +66,10 @@ class TestOrthogonalityAxioms:
 
     def test_descends_matches_oracle(self, curated_pq):
         # With the true orthogonality, and with random symmetric pairs of it
-        # flipped in the memo after the order is built, so that the cover
-        # certificate still holds and Z stays symmetric but "descends" can
-        # fail: verdict and first witness. The covers no longer decide
-        # "descends" on a flipped Z, and its count product must run.
+        # flipped in the memo, beside the true relation, before the order is
+        # built: Z stays symmetric but "descends" can fail. Verdict and
+        # first witness. A flipped Z breaks the cover certificate, so the
+        # count product runs.
         rng = random.Random(8)
         notes = []
         for r in [s for s in curated_pq if s.order <= 30]:
@@ -75,18 +78,16 @@ class TestOrthogonalityAxioms:
             pairs = oracle_leq_pairs(t)
             ortho = {(a, b) for a in range(n) for b in range(n) if oracle_orthogonal(t, a, b)}
             for flips in range(3):
-                s = fresh(r)
-                so.classify(s)
-                order.pair_tables(s)  # the order reads the true relation
-                assert order.build_order(s).certified, r.label
-                Z = analysis.zero_product_matrix(s).copy()
+                Z = np.array(analysis.zero_product_matrix(r))
                 flipped = set()
                 for _ in range(flips):
                     a, b = rng.randrange(n), rng.randrange(n)
                     flipped ^= {(a, b), (b, a)} if a != b else {(a, a)}
                 for a, b in flipped:
                     Z[a, b] = not Z[a, b]
-                s._memo["zero_product_matrix"] = Z
+                s = fresh(r)
+                s._memo.update(leq_matrix=order.leq_matrix(r), zero_product_matrix=Z)
+                assert order.build_order(s).certified == (not flipped), (r.label, flipped)
                 want = oracle_orthogonality_axioms(
                     n, lambda a, b: (a, b) in pairs, lambda a, b: (a, b) in ortho ^ flipped
                 )
@@ -196,16 +197,16 @@ class TestQuasiOrthomodular:
                         (a, b) for a in range(n) for b in range(n) if oracle_orthogonal(t, a, b)
                     }
                     assert theorems._check_cancellation(r).witness == oracle_cancellation(t, ortho)
-                    s = fresh(r)
-                    # The p.q.-Baer * gate and the order read the true relation.
-                    so.classify(s)
-                    order.pair_tables(s)
-                    Z = analysis.zero_product_matrix(s).copy()
+                    Z = np.array(analysis.zero_product_matrix(r))
                     count = rng.randint(1, n)
                     flips = {(rng.randrange(n), rng.randrange(n)) for _ in range(count)}
                     for a, b in flips:
                         Z[a, b] = not Z[a, b]
-                    s._memo["zero_product_matrix"] = Z
+                    # The order reads the true relation; the flipped Z
+                    # breaks the cover certificate, so the scan runs.
+                    s = fresh(r)
+                    s._memo.update(leq_matrix=order.leq_matrix(r), zero_product_matrix=Z)
+                    assert not order.build_order(s).certified, (r.label, flips)
                     want = oracle_cancellation(t, ortho ^ flips)
                     assert theorems._check_cancellation(s).witness == want, (r.label, flips, block)
                     failed += want is not None
@@ -234,12 +235,11 @@ class TestQuasiOrthomodular:
         # and 1 ⊥ 5 but not 1 ⊥ 2 makes x = 1 the first failing x, with the
         # failing (y, z) = (3, 6), (5, 4) and (5, 6): the row-major first
         # triple is (1, 3, 6), though (1, 5, 4) comes first with z before y.
-        r = fresh(so.build_product([so.build_modular(2)] * 3))
-        so.classify(r)
-        order.pair_tables(r)  # the order reads the true relation
-        Z = analysis.zero_product_matrix(r).copy()
+        base = so.build_product([so.build_modular(2)] * 3)
+        Z = np.array(analysis.zero_product_matrix(base))
         Z[1, [3, 5]], Z[1, 2] = True, False
-        r._memo["zero_product_matrix"] = Z
+        r = fresh(base)  # the order reads the true relation
+        r._memo.update(leq_matrix=order.leq_matrix(base), zero_product_matrix=Z)
         fails = list(oracle_cancellation_failures(ring_tables(r), set(zip(*np.nonzero(Z)))))
         assert fails == [(1, 3, 6), (1, 5, 4), (1, 5, 6)]
         with pytest.MonkeyPatch.context() as mp:
@@ -326,8 +326,8 @@ class TestInitialSegments:
 
 
 def test_certified_segments_match_the_full_path(curated_pq, swap_ring, monkeypatch):
-    # On a ring whose pair tables certify its segments, no segment bound is
-    # read, and the full path, forced by clearing the certificate, gives the
+    # On a ring with the cover certificate no segment bound is read, and
+    # the full path, forced by switching the certificate off, gives the
     # same segments. The p.q.-Baer * rings are certified; the swap ring, a
     # partial order that is not p.q.-Baer *, is not, so it takes the full
     # path either way. Structural rings that are not semiprime, such as Z4,
@@ -338,56 +338,144 @@ def test_certified_segments_match_the_full_path(curated_pq, swap_ring, monkeypat
     config = fuzz.FuzzConfig(16, ("matrix", "modular", "product"), 0, 1)
     structural = [so.realize(spec) for spec in fuzz.structural_specs(config)]
     certified = 0
-    for r in [fresh(r) for r in curated_pq + [swap_ring]] + structural:
-        if not order.build_order(r).diagnostics.all_pass:
+    for r in curated_pq + [swap_ring] + structural:
+        s = fresh(r)
+        structure = order.build_order(s)
+        if not structure.diagnostics.all_pass:
             continue
-        pt = order.pair_tables(r)
-        assert pt.segments_ok == so.classify(r).is_pq_baer_star, r.label
-        if pt.segments_ok:  # the two facts the proof derives from (P) and (O)
-            Z = analysis.zero_product_matrix(r)
-            a, b = order.leq_matrix(r).nonzero()
-            assert (Z == Z.T).all() and (pt.meet[b, a] == a).all(), r.label
+        assert structure.certified == so.classify(s).is_pq_baer_star, r.label
+        if structure.certified:  # (P) and (O), which the segment proof reads
+            pt = order.pair_tables(s)
+            Z = analysis.zero_product_matrix(s)
+            assert (np.minimum(pt.meet, pt.join)[pt.cub] >= 0).all(), r.label
+            assert (pt.meet[Z] == 0).all() and (pt.join[Z] == s.addition[Z]).all(), r.label
         calls.clear()
-        fast = [so.initial_segment(r, m).to_json_dict() for m in r.elements()]
-        assert not calls if pt.segments_ok else calls, r.label
-        certified += pt.segments_ok
-        r._memo["pair_tables"] = dataclasses.replace(pt, segments_ok=False)
-        full = [so.initial_segment(r, m).to_json_dict() for m in r.elements()]
+        fast = [so.initial_segment(s, m).to_json_dict() for m in s.elements()]
+        assert not calls if structure.certified else calls, r.label
+        certified += structure.certified
+        s = fresh(r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(order, "_cover_certificate", lambda *args: False)
+            assert not order.build_order(s).certified
+        full = [so.initial_segment(s, m).to_json_dict() for m in s.elements()]
         assert fast == full, r.label
     assert certified >= len(curated_pq)
 
 
-def _certificate_terms(Z, A, cub, meet, join):
-    """(P) and (O) of the segment certificate, each by a loop over all pairs;
-    -1 marks a formula value that did not verify."""
-    pairs = [(a, b) for a in range(len(Z)) for b in range(len(Z))]
+def _cover_terms(ring):
+    """The four terms of the cover certificate, each by a loop over the
+    arrays in the memo of ``ring``: every cover is a central projection,
+    L0, F1 and OC."""
+    n = ring.order
+    mul = ring.multiplication
+    leq = order.leq_matrix(ring)
+    Z = analysis.zero_product_matrix(ring)
+    cov = analysis.cover_ids(ring)
+    cover_leq = order.cover_leq_matrix(ring)
+    cps = set(oracle_central_projections(ring_tables(ring)))
+    pairs = [(a, b) for a in range(n) for b in range(n)]
     return (
-        all(meet[a, b] >= 0 and join[a, b] >= 0 for a, b in pairs if cub[a, b]),
-        all(meet[a, b] == 0 and join[a, b] == A[a, b] for a, b in pairs if Z[a, b]),
+        all(int(c) in cps for c in cov),
+        all(leq[mul[e, y], y] for e in cps for y in range(n)),
+        all(cover_leq[a, b] for a, b in pairs if leq[a, b]),
+        all(Z[a, b] == (mul[cov[a], cov[b]] == 0) for a, b in pairs),
     )
 
 
 def test_each_certificate_term_decides(z6):
-    # One entry changed on Z6 breaks exactly one term, and the certificate
-    # with it: a meet or a join that did not verify where (O) does not
-    # read, and a meet that (P) accepts but (O) does not.
-    pt = order.pair_tables(z6)
-    Z = analysis.zero_product_matrix(z6)
-    base = dict(Z=Z, A=z6.addition, cub=pt.cub, meet=pt.meet, join=pt.join)
-    assert pt.segments_ok and order._segment_certificate(**base)
-    assert _certificate_terms(**base) == (True, True)
-    cub_only = tuple(np.argwhere(pt.cub & ~Z)[0])
-    ortho_pair = tuple(np.argwhere(Z)[0])
+    # Arrays written into the memo of Z6 before its order is built, each
+    # breaking exactly one term, and the certificate with it: a cover that
+    # is not a projection (5·5 = 1) beside the true cover relation, a
+    # missing 3 = 3·5 <= 5, an added 2 <= 1 with C(2)·1 = 4, and the
+    # orthogonal pair 2, 3 made non-orthogonal in Z.
+    base = fresh(z6)
+    assert _cover_terms(base) == (True,) * 4 and order.build_order(base).certified
+    arrays = {
+        "leq_matrix": order.leq_matrix(z6),
+        "zero_product_matrix": analysis.zero_product_matrix(z6),
+        "cover_ids": analysis.cover_ids(z6),
+        "cover_leq_matrix": order.cover_leq_matrix(z6),
+    }
     changes = (
-        ("meet", cub_only, -1, (False, True)),
-        ("join", cub_only, -1, (False, True)),
-        ("meet", ortho_pair, 1, (True, False)),
+        ("cover_ids", (5,), 5),
+        ("leq_matrix", (3, 5), False),
+        ("leq_matrix", (2, 1), True),
+        ("zero_product_matrix", ([2, 3], [3, 2]), False),
     )
-    for name, at, value, terms in changes:
-        args = dict(base, **{name: np.array(base[name])})
-        args[name][at] = value
-        assert _certificate_terms(**args) == terms, (name, at)
-        assert not order._segment_certificate(**args), (name, at)
+    for term, (key, at, value) in enumerate(changes):
+        changed = np.array(arrays[key])
+        changed[at] = value
+        s = fresh(z6)
+        s._memo.update(arrays, **{key: changed})
+        want = tuple(i != term for i in range(4))
+        assert _cover_terms(s) == want, key
+        assert not order.build_order(s).certified, key
+
+
+def test_orthogonality_term_decides_alone(curated_pq):
+    # One symmetric pair of Z flipped in the memo, beside the true
+    # relation, before the order is built: the covers, L0 and F1 still
+    # hold, so only OC fails and the ring is uncertified. All 19 verdicts
+    # are the forced count path's, and those that read Z match the
+    # plain-loop oracles on the flipped Z.
+    rng = random.Random(24)
+    failed = set()
+    for r in [s for s in curated_pq if s.order <= 30]:
+        t = ring_tables(r)
+        n = r.order
+        a, b = rng.randrange(n), rng.randrange(n)
+        Z = np.array(analysis.zero_product_matrix(r))
+        Z[[a, b], [b, a]] = not Z[a, b]
+        orth = lambda x, y: bool(Z[x, y])
+
+        def verdicts(certificate):
+            s = fresh(r)
+            so.classify(s)  # the p.q.-Baer * gate reads the true relation
+            s._memo.update(leq_matrix=order.leq_matrix(r), zero_product_matrix=Z)
+            with pytest.MonkeyPatch.context() as mp:
+                if not certificate:
+                    mp.setattr(order, "_cover_certificate", lambda *args: False)
+                assert not order.build_order(s).certified, r.label
+            assert _cover_terms(s) == (True, True, True, False), r.label
+            return {v.theorem: v for v in theorems.run_suite(s)}
+
+        got = verdicts(True)
+        assert got == verdicts(False), r.label
+        pairs = oracle_leq_pairs(t)
+        le = lambda x, y: (x, y) in pairs
+        cov = [oracle_cover(t, x) for x in range(n)]
+        bounds = oracle_pair_tables(n, pairs)
+        ortho = {(x, y) for x in range(n) for y in range(n) if Z[x, y]}
+        every = [(x, y) for x in range(n) for y in range(n)]
+        segments = (oracle_segment(t, m, orthogonal=orth) for m in range(n))
+        want = {
+            "annihilator-identity": oracle_annihilator_identity(t, orth, cov),
+            "orthogonality-axioms": oracle_orthogonality_axioms(n, le, orth),
+            "ortho-cancellation": next(
+                ((w, "cancellation") for w in oracle_cancellation_failures(t, ortho)), None
+            ),
+            "ortho-join": next(
+                ((p, None) for p in every if Z[p] and bounds.get(p) != (0, t[0][p[0]][p[1]])),
+                None,
+            ),
+            "orthogonality-cover-equivalence": next(
+                ((p, None) for p in every if Z[p] != (t[1][cov[p[0]]][cov[p[1]]] == 0)), None
+            ),
+            "segment-orthomodular": next(
+                (
+                    ((g["top"], *g["witness"]["elements"]), g["witness"]["axiom"])
+                    for g in segments
+                    if not (g["orthocomplemented"] and g["orthomodular"] and g["locality"])
+                ),
+                None,
+            ),
+        }
+        for tid, w in want.items():
+            v = got[tid]
+            assert v.status != "skipped", (r.label, tid)
+            assert (None if v.status == "pass" else (v.witness, v.note)) == w, (r.label, tid)
+        failed |= {tid for tid, w in want.items() if w}
+    assert failed == set(want)  # each oracle-checked theorem failed on some flip
 
 
 SEGMENT_AXIOMS = {
@@ -408,10 +496,11 @@ def _segment_witnesses(ring, leq, Z, S):
     witness axioms met."""
     ring._memo.update(leq_matrix=leq, zero_product_matrix=Z, sub_table=S)
     # The certificate is proved only for the relations a ring builds itself,
-    # so every segment here takes the full path.
-    if order.build_order(ring).diagnostics.all_pass:
-        pt = order.pair_tables(ring)
-        ring._memo["pair_tables"] = dataclasses.replace(pt, segments_ok=False)
+    # and it does not read S: with it switched off, every segment here
+    # takes the full path.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(order, "_cover_certificate", lambda *args: False)
+        order.build_order(ring)
     t = ring_tables(ring)
     met = set()
     for m in ring.elements():
@@ -479,7 +568,7 @@ def test_every_segment_witness_matches_oracle_on_perturbed_relations():
 def test_segment_bounds_scan_where_pair_tables_has_none(monkeypatch):
     # A partial order on Z6: 0 below all, and 1, 2 below both 4 and 5,
     # which are incomparable. So 1 and 2 have no join and pair_tables holds
-    # a false ok bit there. Inside [0, 5] = {0, 1, 2, 5}, with complements
+    # -1 there. Inside [0, 5] = {0, 1, 2, 5}, with complements
     # 0 <-> 5 and 1 <-> 2, their only upper bound is 5: the segment is
     # orthomodular only if the scan on the segment order finds it.
     z6 = fresh(so.build_modular(6))
