@@ -21,8 +21,8 @@ from .analysis import (
     _fail,
     center_mask,
     cover_ids,
-    cover_products,
     cover_table,
+    times_covers,
     CentralCoverTable,
     projection_mask,
     zero_product_matrix,
@@ -195,14 +195,14 @@ def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
         central[cover_ids(ring)].all()
         and not (leq & ~cover_leq_matrix(ring)).any()
         and leq[ring.multiplication[central], np.arange(ring.order)].all()
-        and np.array_equal(zero_product_matrix(ring), cover_products(ring) == 0)
+        and np.array_equal(zero_product_matrix(ring), times_covers(ring)[cover_ids(ring)] == 0)
     )
 
 
 def _formula_tables(ring: StarRing) -> tuple[np.ndarray, np.ndarray]:
     """The cover formula values a·C(b) and a + b − a·C(b) at [a, b], as
     new writable arrays."""
-    mv = np.take(ring.multiplication, cover_ids(ring), axis=1)
+    mv = times_covers(ring)
     return mv, ring.sub_table()[ring.addition, mv]
 
 
@@ -339,7 +339,7 @@ def join(ring: StarRing, a: int, b: int) -> int | None:
 
 def is_lattice(ring: StarRing) -> CheckResult:
     """Lattice criterion: a·C(b) = b·C(a) for all pairs."""
-    ac = np.take(ring.multiplication, cover_ids(ring), axis=1)
+    ac = times_covers(ring)
     w = _first(ac != ac.T)
     return _fail(w) if w else PASS
 

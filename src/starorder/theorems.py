@@ -88,17 +88,26 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
 
 def _check_cover_uniqueness(ring: StarRing) -> CheckResult:
     """Any central projection satisfying x·e = x and (xRy = 0 implies
-    e·y = 0) must be the central cover of x."""
-    M = ring.multiplication
+    e·y = 0) must be the central cover of x.
+
+    A pair (e, x) with Z[x, y] and e·y ≠ 0 at y = 1 - C(x) breaks the
+    hypothesis there, so it is no witness, whatever the cover array. Only
+    the other pairs that fix x and differ from C(x) are scanned over every
+    y. With the covers of `analysis.cover_ids` none is left: C(x) is a
+    central projection that fixes x, so x·r·(1 - C(x)) = (x - x·C(x))·r = 0
+    and Z[x, y]. A pair left then has e·(1 - C(x)) = 0, so e = e·C(x); and
+    e, a central projection that fixes x, is a factor of the product C(x),
+    so C(x)·e = C(x). So e = C(x)."""
     Z = analysis.zero_product_matrix(ring)
     covers = analysis.cover_ids(ring)
     cps = analysis.central_projection_ids(ring)
-    fixes = np.take(M, cps, axis=1).T == np.arange(ring.order)  # x·e = x at [e, x]
-    absorbs = order._counts(M[cps] != 0, Z.T) == 0  # xRy = 0 implies e·y = 0
-    w = _first(fixes & absorbs & (covers != cps[:, None]))
-    if w:
-        return _fail((w[1], cps[w[0]]), "cover-uniqueness")
-    return PASS
+    Mc = ring.multiplication[cps]  # e·x at [e, x], which is x·e as e is central
+    e, x = np.nonzero((Mc == np.arange(ring.order)) & (covers != cps[:, None]))
+    y = ring.sub_table()[ring.one, covers[x]]  # 1 - C(x)
+    keep = ~(Z[x, y] & (Mc[e, y] != 0))
+    e, x = e[keep], x[keep]
+    w = _first_rows(e.size, ring.order, lambda k: ~(Z[x[k]] & (Mc[e[k]] != 0)).any(axis=1))
+    return _fail((x[w[0]], cps[e[w[0]]]), "cover-uniqueness") if w else PASS
 
 
 def _check_annihilator_identity(ring: StarRing) -> CheckResult:
@@ -160,25 +169,21 @@ def _cover_subtracts(ring: StarRing) -> np.ndarray:
 def _check_subtractivity_forward(ring: StarRing) -> CheckResult:
     """a <= b implies C(b-a) = C(b) - C(a), C(a)·C(b) = C(a) and
     a = a·C(b) = b·C(a), checked on all pairs."""
-    M = ring.multiplication
     covers = analysis.cover_ids(ring)
     leq = order.leq_matrix(ring)
     w = _first(leq & ~_cover_subtracts(ring))
     if w:
         return _fail(w, "cover-subtraction")
     idx = np.arange(ring.order)
-    w = _first(leq & (analysis.cover_products(ring) != covers[:, None]))
+    acb = analysis.times_covers(ring)  # a·C(b)
+    w = _first(leq & (acb[covers] != covers[:, None]))  # C(a)·C(b)
     if w:
         return _fail(w, "cover-monotone")
-    acb = np.take(M, covers, axis=1)  # a·C(b)
     w = _first(leq & (acb != idx[:, None]))
     if w:
         return _fail(w, "a-equals-a-cover-b")
-    bca = acb.T                       # b·C(a) at [a, b]
-    w = _first(leq & (bca != idx[:, None]))
-    if w:
-        return _fail(w, "a-equals-b-cover-a")
-    return PASS
+    w = _first(leq & (acb.T != idx[:, None]))  # b·C(a) at [a, b]
+    return _fail(w, "a-equals-b-cover-a") if w else PASS
 
 
 def _check_subtractivity_biconditional(ring: StarRing) -> CheckResult:
@@ -188,12 +193,9 @@ def _check_subtractivity_biconditional(ring: StarRing) -> CheckResult:
 
 
 def _check_cub_characterization(ring: StarRing) -> CheckResult:
-    ac = np.take(ring.multiplication, analysis.cover_ids(ring), axis=1)
-    formula = ac == ac.T
-    w = _first(formula != order.build_order(ring).cub)
-    if w:
-        return _fail(w)
-    return PASS
+    ac = analysis.times_covers(ring)
+    w = _first((ac == ac.T) != order.build_order(ring).cub)
+    return _fail(w) if w else PASS
 
 
 def _check_cub_star_identities(ring: StarRing) -> CheckResult:
@@ -267,11 +269,11 @@ def _check_meet_join(ring: StarRing) -> CheckResult:
     pseudo = order.is_pseudo_lattice(ring)
     if not pseudo.passed:
         return CheckResult(False, pseudo.witness, "pseudo-lattice")
-    ac = np.take(ring.multiplication, analysis.cover_ids(ring), axis=1)
-    w = _first(pt.cub & (pt.meet != ac))
+    mv, jv = order._formula_tables(ring)
+    w = _first(pt.cub & (pt.meet != mv))
     if w:
         return _fail(w, "meet-formula")
-    w = _first(pt.cub & (pt.join != ring.sub_table()[ring.addition, ac]))
+    w = _first(pt.cub & (pt.join != jv))
     return _fail(w, "join-formula") if w else PASS
 
 
@@ -291,32 +293,31 @@ def _check_problem2(ring: StarRing) -> CheckResult:
     """a <= c, b <= c, aR ∩ bR = {0} imply a+b <= c, over all triples.
 
     The two-sided form only narrows this hypothesis, so it cannot fail
-    where the right-ideal form passes."""
+    where the right-ideal form passes.
+
+    The c above a and b are exactly those above a∨b, so a pair whose join
+    lies above a+b fails at no c, and a pair without a common upper bound
+    has no c. Only the other pairs are scanned, row-major, for the
+    hypothesis and then over c. (`join >= 0` masks what -1 reads.)"""
     A = ring.addition
     leq = order.leq_matrix(ring)
     pt = order.pair_tables(ring)
-    n = ring.order
+    a, b = np.nonzero(pt.cub & ~((pt.join >= 0) & leq[A, pt.join]))
+    used = np.zeros(ring.order, dtype=bool)
+    used[a] = used[b] = True
+    pos = np.cumsum(used) - 1  # row pos[x] of masks marks xR
+    masks = analysis._ideal_masks(ring, np.flatnonzero(used))
+    masks[:, 0] = False  # aR ∩ bR = {0} iff the masks share no other element
 
-    # [a, b]: aR ∩ bR = {0}, and a and b have a common upper bound
-    hyp = (order._counts(analysis._ideal_masks(ring, np.arange(n))[:, 1:]) == 0) & pt.cub
+    def fails(k):  # [k, c]: aR ∩ bR = {0} and a, b <= c, but not a+b <= c
+        out = np.zeros((k.size, ring.order), dtype=bool)
+        hyp = ~(masks[pos[a[k]]] & masks[pos[b[k]]]).any(axis=1)
+        x, y = a[k[hyp]], b[k[hyp]]
+        out[hyp] = leq[x] & leq[y] & ~leq[A[x, y]]
+        return out
 
-    # The c above a and b are those above a∨b, so a pair with a verified
-    # join fails iff a+b is not below it. The other pairs with a common
-    # upper bound are scanned over c. The mask comes first: a join of -1
-    # would index the last column.
-    joined = pt.join >= 0
-    bad, scan = hyp & joined, hyp & ~joined
-    bad[bad] = ~leq[A[bad], pt.join[bad]]
-    a, b = np.nonzero(scan)
-
-    def fails(a, b):  # [k, c]: a[k], b[k] <= c, but not a[k]+b[k] <= c
-        return leq[a] & leq[b] & ~leq[A[a, b]]
-
-    w = _first_rows(a.size, n, lambda k: fails(a[k], b[k]))
-    if w:
-        bad[a[w[0]], b[w[0]]] = True
-    w = _first(bad)
-    return _fail((*w, *_first(fails(*w))), "right-ideal-form") if w else PASS
+    w = _first_rows(a.size, ring.order, fails)
+    return _fail((a[w[0]], b[w[0]], w[1]), "right-ideal-form") if w else PASS
 
 
 def _check_orthogonality_axioms(ring: StarRing) -> CheckResult:
@@ -393,7 +394,7 @@ def _check_quasi_orthomodular(ring: StarRing) -> CheckResult:
 
 def _check_ortho_cover_equivalence(ring: StarRing) -> CheckResult:
     Z = analysis.zero_product_matrix(ring)
-    w = _first(Z != (analysis.cover_products(ring) == 0))
+    w = _first(Z != (analysis.times_covers(ring)[analysis.cover_ids(ring)] == 0))
     return _fail(w) if w else PASS
 
 

@@ -574,6 +574,20 @@ def oracle_problem2(t, leq, include_left=False):
     return next(oracle_problem2_failures(t, leq, include_left), None)
 
 
+def oracle_cover_uniqueness(t, ortho, covers):
+    """The first (x, e), ordered by the central projection e and then by
+    x, where x·e = x, e·y = 0 for every y with ``ortho(x, y)`` (xRy = 0),
+    and ``covers[x]`` is not e; None if there is none."""
+    add, mul, star, one = t
+    n = len(add)
+    for e in oracle_central_projections(t):
+        for x in range(n):
+            if mul[x][e] == x and covers[x] != e:
+                if all(mul[e][y] == 0 for y in range(n) if ortho(x, y)):
+                    return x, e
+    return None
+
+
 def oracle_annihilator_identity(t, ortho, covers):
     """``(witness, note)`` for the first x, then set, then y at which r(xR)
     differs from r(eR), l(Rx), l(Re), (1-e)R, R(1-e) or {y : ey = 0}, with

@@ -13,7 +13,9 @@ import starorder as so
 from corpus import fresh, random_partial_order
 from helpers import (
     oracle_annihilator_identity,
+    oracle_central_projections,
     oracle_cover_remark,
+    oracle_cover_uniqueness,
     oracle_order_diagnostics,
     oracle_orthogonality_axioms,
     oracle_lub,
@@ -105,6 +107,49 @@ def test_scans_match_oracles_on_perturbed_relations(curated_pq, block):
         "cover-scaling",
         "central-projection-order",
     }
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_cover_uniqueness_matches_oracle_on_perturbed_covers(curated_pq, block):
+    # Cover arrays with 0, 1 or 2 entries rewritten, to another central
+    # projection or to any element, in the memo of fresh rings. The check
+    # drops a pair (e, x) where y = 1 - covers[x] has xRy = 0 but e·y != 0,
+    # and scans the pairs left over every y. On Z4, Z8 and Z12 the true
+    # cover of a nilpotent x breaks the hypothesis, so a rewrite there can
+    # pass.
+    rng = random.Random(block)
+    verdicts, skipped = {True: 0, False: 0}, 0
+    extra = [so.build_modular(n) for n in (4, 8, 12)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_BLOCK", block)
+        for r in (curated_pq + extra) * 8:
+            t = ring_tables(r)
+            add, mul, star, one = t
+            n = r.order
+            cps = oracle_central_projections(t)
+            s = fresh(r)
+            Z = analysis.zero_product_matrix(s)
+            cov = np.array(analysis.cover_ids(s))
+            for _ in range(rng.randint(0, 2)):
+                cov[rng.randrange(n)] = rng.choice(cps if rng.random() < 0.5 else range(n))
+            s._memo["cover_ids"] = cov
+            got = theorems._check_cover_uniqueness(s)
+            want = oracle_cover_uniqueness(t, lambda a, b: bool(Z[a, b]), cov.tolist())
+            assert got.witness == want, r.label
+            assert got.note == (want and "cover-uniqueness")
+            verdicts[got.passed] += 1
+            # The pairs that y = 1 - covers[x] leaves, in the check's order;
+            # the scan must pass over some that are no witness.
+            ys = [next(y for y in range(n) if add[cov[x]][y] == one) for x in range(n)]
+            left = [
+                (x, e)
+                for e in cps
+                for x in range(n)
+                if mul[x][e] == x and cov[x] != e and not (Z[x, ys[x]] and mul[e][ys[x]])
+            ]
+            skipped += bool(left) and left[0] != want
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+    assert skipped
 
 
 @pytest.mark.parametrize("block", (rings._BLOCK, 1, 50))
