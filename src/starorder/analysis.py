@@ -102,13 +102,10 @@ def _ideal_masks(ring: StarRing, rows) -> np.ndarray:
 
 def _proj_ideal_masks(ring: StarRing) -> dict:
     """Lookup from the mask bytes of eR to the projection e. eR = fR
-    forces e = f, so no mask has two."""
-
-    def build():
-        projs = np.flatnonzero(projection_mask(ring))
-        return {mask.tobytes(): int(e) for mask, e in zip(_ideal_masks(ring, projs), projs)}
-
-    return ring.memo("proj_right_ideal_masks", build)
+    forces e = f, so no mask has two. Not memoised: its one reader,
+    `classify`, is."""
+    projs = np.flatnonzero(projection_mask(ring))
+    return {mask.tobytes(): int(e) for mask, e in zip(_ideal_masks(ring, projs), projs)}
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ from .order import build_order, hasse_dot, initial_segment
 from .rings import DEFAULT_ORDER_CAP, realize, spec_from_json
 from .theorems import run_suite, run_theorem
 
+# The variable can only lower the cap: at n = 8192 the tables a ring
+# retains pass the 1 GB budget of one `verify`.
 CAP_ENV_VAR = "STARORDER_ORDER_CAP"
-# The largest cap the variable may set: one n x n int32 table takes 256 MB
-# at n = 8192, and a ring holds several.
-CAP_CEILING = 8192
 
 # The reader of stdout went away (e.g. `| head -1`): the code a shell reports
 # for a process killed by SIGPIPE, 128 + 13, and never 1 ("a check failed").
@@ -59,8 +58,8 @@ def _resolve_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise _InputError("order-cap", f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    if not 1 <= cap <= CAP_CEILING:
-        raise _InputError("order-cap", f"{CAP_ENV_VAR} must be in 1..{CAP_CEILING}, got {cap}")
+    if not 1 <= cap <= DEFAULT_ORDER_CAP:
+        raise _InputError("order-cap", f"{CAP_ENV_VAR} must be in 1..{DEFAULT_ORDER_CAP}, got {cap}")
     return cap
 
 

@@ -31,23 +31,18 @@ from .errors import PreconditionError
 from .rings import StarRing, _first, _frozen
 
 
-def _conrad_matrix(ring: StarRing, key: str, rows: np.ndarray) -> np.ndarray:
-    """out[a, b] iff x·r·b = x·r·a for every r, where x = rows[a].
-
-    By distributivity x·r·b - x·r·a = x·r·(b - a), so this holds iff
-    x ⊥ (b - a): the entry Z[x, b - a] of the zero-product matrix.
-    """
-    return ring.memo(
-        key, lambda: _frozen(zero_product_matrix(ring)[rows[:, None], ring.sub_table().T])
-    )
-
-
 def leq_matrix(ring: StarRing) -> np.ndarray:
-    return _conrad_matrix(ring, "leq_matrix", np.arange(ring.order))
+    """leq[a, b] iff a·r·b = a·r·a for every r.
 
+    By distributivity a·r·b - a·r·a = a·r·(b - a), so this holds iff
+    a ⊥ (b - a): the entry Z[a, b - a] of the zero-product matrix.
+    """
 
-def star_leq_matrix(ring: StarRing) -> np.ndarray:
-    return _conrad_matrix(ring, "star_leq_matrix", ring.involution)
+    def build():
+        idx = np.arange(ring.order)
+        return _frozen(zero_product_matrix(ring)[idx[:, None], ring.sub_table().T])
+
+    return ring.memo("leq_matrix", build)
 
 
 def cover_leq_matrix(ring: StarRing) -> np.ndarray:

@@ -147,16 +147,20 @@ def _check_order_diagnostics(ring: StarRing) -> CheckResult:
 
 
 def _check_order_equivalence(ring: StarRing) -> CheckResult:
-    leq = order.leq_matrix(ring)
-    star = order.star_leq_matrix(ring)
-    cov = order.cover_leq_matrix(ring)
-    w = _first(leq != star)
+    """a <= b iff a*·r·b = a*·r·a for every r, iff a = C(a)·b.
+
+    By distributivity, as `order.leq_matrix` reads a <= b as Z[a, b - a],
+    the starred relation is Z[a*, b - a]. For fixed a, b ↦ b - a is a
+    bijection of R, so the two differ in row a iff rows a and a* of Z do,
+    and the least b with Z[a, b - a] != Z[a*, b - a] is the first there."""
+    Z = analysis.zero_product_matrix(ring)
+    inv = ring.involution
+    w = _first((Z != Z[inv]).any(axis=1))
     if w:
-        return _fail(w, "bruteforce-vs-star")
-    w = _first(leq != cov)
-    if w:
-        return _fail(w, "bruteforce-vs-cover")
-    return PASS
+        c = ring.sub_table()[:, w[0]]  # b - a at b
+        return _fail((w[0], *_first(Z[w[0], c] != Z[inv[w[0]], c])), "bruteforce-vs-star")
+    w = _first(order.leq_matrix(ring) != order.cover_leq_matrix(ring))
+    return _fail(w, "bruteforce-vs-cover") if w else PASS
 
 
 def _cover_subtracts(ring: StarRing) -> np.ndarray:
@@ -401,15 +405,17 @@ def _check_ortho_cover_equivalence(ring: StarRing) -> CheckResult:
 def _check_ortho_decomposition(ring: StarRing) -> CheckResult:
     """a <= b gives c = b-a with a ⊥ c, b = a+c, and b = a∨c. a ⊥ c needs
     no check: `order.leq_matrix` reads a <= b as Z[a, c]. Nor does b = a+c:
-    a validated or certified ring satisfies a + (b - a) = b."""
+    a validated or certified ring satisfies a + (b - a) = b.
+
+    So the check runs at [a, c]: (a, a + c) fails iff Z[a, c] and
+    join[a, c] != a + c. For fixed a, c ↦ a + c is a bijection of R with
+    inverse b ↦ b - a, so the first failing row a is that of the pairs
+    [a, b], and its least b is the least a + c over its failing c."""
     pt = order.pair_tables(ring)
-    leq = order.leq_matrix(ring)
-    idx = np.arange(ring.order)
-    C = ring.sub_table().T  # c = b - a at [a, b]
-    w = _first(leq & (pt.join[idx[:, None], C] != idx[None, :]))
-    if w:
-        return _fail(w)
-    return PASS
+    A = ring.addition
+    bad = analysis.zero_product_matrix(ring) & (pt.join != A)
+    w = _first(bad)
+    return _fail((w[0], A[w[0], bad[w[0]]].min())) if w else PASS
 
 
 def _check_segment_orthomodular(ring: StarRing) -> CheckResult:

@@ -654,3 +654,66 @@ def oracle_cover_remark(t, leq, covers):
         if w:
             return w, note
     return None
+
+
+def _minus(add):
+    """x - y as a function, from the addition table alone."""
+    elems = range(len(add))
+    neg = [next(y for y in elems if add[x][y] == 0) for x in elems]
+    return lambda x, y: add[x][neg[y]]
+
+
+def oracle_order_equivalence(t, ortho, covers):
+    """``(witness, note)`` for the first pair (a, b), row-major, at which
+    the Conrad relation differs from its starred form (bruteforce-vs-star),
+    then the first at which it differs from the cover form a = C(a)·b
+    (bruteforce-vs-cover); None if neither. a <= b is taken as
+    ``ortho(a, b - a)`` and the starred form as ``ortho(a*, b - a)``: by
+    distributivity, a·r·b = a·r·a and a*·r·b = a*·r·a for every r.
+    ``covers[x]`` is taken as C(x)."""
+    add, mul, star, one = t
+    sub = _minus(add)
+    terms = (
+        ("bruteforce-vs-star", lambda a, b: ortho(star[a], sub(b, a))),
+        ("bruteforce-vs-cover", lambda a, b: mul[covers[a]][b] == a),
+    )
+    for note, other in terms:
+        for a, b in product(range(len(add)), repeat=2):
+            if ortho(a, sub(b, a)) != other(a, b):
+                return (a, b), note
+    return None
+
+
+def oracle_ortho_decomposition(t, ortho, join):
+    """The first pair (a, b), row-major, with a <= b, taken as
+    ``ortho(a, b - a)``, whose b is not ``join(a, b - a)``, the lub of a
+    and b - a (-1 for none); None if there is none."""
+    add = t[0]
+    sub = _minus(add)
+    for a, b in product(range(len(add)), repeat=2):
+        if ortho(a, sub(b, a)) and join(a, sub(b, a)) != b:
+            return a, b
+    return None
+
+
+def oracle_subtractivity_forward(t, leq, covers):
+    """``(witness, note)`` for the first failing term of the forward
+    subtractivity theorem, in the package's order, or None. Each term runs
+    over all pairs a <= b of ``leq(a, b)``, row-major: C(b - a) =
+    C(b) - C(a) (cover-subtraction), C(a)·C(b) = C(a) (cover-monotone),
+    a = a·C(b) (a-equals-a-cover-b) and a = b·C(a) (a-equals-b-cover-a).
+    ``covers[x]`` is taken as C(x)."""
+    add, mul, star, one = t
+    sub = _minus(add)
+    C = covers
+    terms = (
+        ("cover-subtraction", lambda a, b: C[sub(b, a)] == sub(C[b], C[a])),
+        ("cover-monotone", lambda a, b: mul[C[a]][C[b]] == C[a]),
+        ("a-equals-a-cover-b", lambda a, b: mul[a][C[b]] == a),
+        ("a-equals-b-cover-a", lambda a, b: mul[b][C[a]] == a),
+    )
+    for note, holds in terms:
+        for a, b in product(range(len(add)), repeat=2):
+            if leq(a, b) and not holds(a, b):
+                return (a, b), note
+    return None

@@ -13,7 +13,14 @@ import pytest
 import starorder as so
 from starorder.cli import main as cli_main
 from starorder.theorems import SKIP_TWO
-from helpers import is_squarefree, leq_bruteforce, oracle_cover, orthogonal, ring_tables
+from helpers import (
+    is_squarefree,
+    leq_bruteforce,
+    oracle_cover,
+    oracle_star_leq,
+    orthogonal,
+    ring_tables,
+)
 
 from pathlib import Path
 
@@ -43,13 +50,16 @@ def squarefree_rings():
 
 @criterion(1, "order-equivalence")
 def test_criterion_01_order_equivalence(squarefree_rings, m2z2):
-    from starorder.order import cover_leq_matrix, leq_matrix, star_leq_matrix
+    from starorder.order import cover_leq_matrix, leq_matrix
 
     z223 = so.build_product([so.build_modular(2), so.build_modular(2), so.build_modular(3)])
     for ring in squarefree_rings + [z223, m2z2]:
         leq = leq_matrix(ring)
-        assert np.array_equal(leq, star_leq_matrix(ring)), ring.label
+        t = ring_tables(ring)
+        star = [[oracle_star_leq(t, a, b) for b in ring.elements()] for a in ring.elements()]
+        assert leq.tolist() == star, ring.label
         assert np.array_equal(leq, cover_leq_matrix(ring)), ring.label
+        assert so.run_theorem(ring, "order-equivalence").status == "pass", ring.label
 
 
 @criterion(2, "central-covers-z6")

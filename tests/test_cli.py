@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from starorder import theorems
-from starorder.cli import CAP_CEILING, EXIT_BROKEN_PIPE, main
+from starorder import DEFAULT_ORDER_CAP, theorems
+from starorder.cli import EXIT_BROKEN_PIPE, main
 from starorder.errors import VerificationError
 
 Z6 = '{"type":"modular","n":6}'
@@ -414,12 +414,14 @@ class TestEnvCap:
         assert json.loads(err)["error"] == "order-cap"
 
     def test_cap_above_ceiling_refused(self, capsys, monkeypatch):
-        # Refused before anything is built, so a tiny ring shows it.
-        monkeypatch.setenv("STARORDER_ORDER_CAP", str(CAP_CEILING + 1))
+        # The variable can only lower the default cap. Refused before
+        # anything is built, so a tiny ring shows it.
+        assert DEFAULT_ORDER_CAP == 4096
+        monkeypatch.setenv("STARORDER_ORDER_CAP", str(DEFAULT_ORDER_CAP + 1))
         code, out, err = run(capsys, "classify", Z6)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "order-cap"
-        monkeypatch.setenv("STARORDER_ORDER_CAP", str(CAP_CEILING))
+        monkeypatch.setenv("STARORDER_ORDER_CAP", str(DEFAULT_ORDER_CAP))
         assert run(capsys, "classify", Z6)[0] == 0
 
     def test_bad_cap_value(self, capsys, monkeypatch):

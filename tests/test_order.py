@@ -148,9 +148,10 @@ class TestBuildOrder:
 
 def assert_tables_match_exhaustive(r):
     """zero_product_matrix lets r range over the additive generating set G,
-    and leq_matrix and star_leq_matrix are read from it; the single-pair
-    forms scan every r. Only Z is built in blocks: at the default block
-    size, and in blocks of one row and of a few rows."""
+    and leq_matrix and the starred relation, which order-equivalence reads
+    as Z[a*, b - a], are read from it; the single-pair forms scan every r.
+    Only Z is built in blocks: at the default block size, and in blocks of
+    one row and of a few rows."""
     t = ring_tables(r)
     star_leq = lambda _, a, b: oracle_star_leq(t, a, b)
     want = [
@@ -161,7 +162,9 @@ def assert_tables_match_exhaustive(r):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rings, "_BLOCK", block)
             s = fresh(r)
-            got = (order.leq_matrix(s), order.star_leq_matrix(s), analysis.zero_product_matrix(s))
+            Z = analysis.zero_product_matrix(s)
+            star = Z[s.involution[:, None], s.sub_table().T]
+            got = (order.leq_matrix(s), star, Z)
         assert [g.tolist() for g in got] == want, (r.label, block)
 
 
@@ -189,10 +192,13 @@ class TestGeneratorRestriction:
         self, curated_pq, m2z2, t2z2, swap_ring, z4
     ):
         # a·r·b = a·r·a for every r iff a·r·(b − a) = 0 for every r, by
-        # distributivity, so both relations and the order diagnostics follow
-        # whatever Z the memo holds, here one with random entries flipped.
+        # distributivity, so the relation, the star term of
+        # order-equivalence and the order diagnostics follow whatever Z the
+        # memo holds, here one with random entries flipped. The star term
+        # fails at the first pair where a <= b differs from Z[a*, b − a].
         rng = random.Random(14)
         names = ("reflexive", "antisymmetric", "transitive")
+        star_fails = 0
         for r in [t2z2, m2z2, swap_ring, z4] + curated_pq:
             n = r.order
             add, _, star, _ = ring_tables(r)
@@ -203,15 +209,23 @@ class TestGeneratorRestriction:
             s = fresh(r)
             s._memo["zero_product_matrix"] = Z
             leq = order.leq_matrix(s).tolist()
-            star_leq = order.star_leq_matrix(s).tolist()
+            star_differs = None
             for a in range(n):
                 for b in range(n):
                     c = b_minus_a[a, b]
                     assert leq[a][b] == Z[a, c], (r.label, a, b)
-                    assert star_leq[a][b] == Z[star[a], c], (r.label, a, b)
+                    if star_differs is None and leq[a][b] != Z[star[a], c]:
+                        star_differs = a, b
+            got = theorems._check_order_equivalence(s)
+            if star_differs:
+                assert (got.witness, got.note) == (star_differs, "bruteforce-vs-star"), r.label
+                star_fails += 1
+            else:
+                assert got.note != "bruteforce-vs-star", r.label
             diag = order.build_order(s).diagnostics
             want = oracle_order_diagnostics(n, lambda a, b: leq[a][b])
             assert tuple(getattr(diag, k).witness for k in names) == want, r.label
+        assert star_fails  # the noncommutative and swap rings reach the star term
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_tables_match_exhaustive(self, seed):

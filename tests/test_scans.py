@@ -20,8 +20,11 @@ from helpers import (
     oracle_orthogonality_axioms,
     oracle_lub,
     oracle_meet_join,
+    oracle_order_equivalence,
+    oracle_ortho_decomposition,
     oracle_problem2,
     oracle_problem2_failures,
+    oracle_subtractivity_forward,
     ring_tables,
 )
 from starorder import analysis, order, rings, theorems
@@ -250,6 +253,101 @@ def test_problem2_does_not_judge_an_unjoined_pair_by_its_formula(m2z2, block):
         mp.setattr(rings, "_BLOCK", block)
         want = oracle_problem2(t, lambda x, y: bool(leq[x, y]))
         assert want is None and theorems._check_problem2(s).witness is None
+
+
+def test_equivalence_decomposition_and_subtractivity_match_oracles(
+    curated_pq, swap_ring, t2z2
+):
+    # Fresh rings with a few entries of Z flipped before the order is built,
+    # so leq is read from the flipped Z; with the joins of one row of the
+    # built pair tables rewritten; or with a few covers rewritten before
+    # anything is built. order-equivalence reads its star term off rows a
+    # and a* of Z, and ortho-decomposition runs at [a, c = b - a]; the
+    # oracles state both at [a, b].
+    rng = random.Random(26)
+    met = set()
+    for r in (curated_pq + [swap_ring, t2z2]) * 3:
+        t = ring_tables(r)
+        add = t[0]
+        n = r.order
+        neg = [add[x].index(0) for x in range(n)]
+        for kind in ("Z", "join", "covers"):
+            s = fresh(r)
+            Z = np.array(analysis.zero_product_matrix(r))
+            cov = np.array(analysis.cover_ids(r))
+            if kind == "Z":
+                for _ in range(rng.randint(1, 3)):
+                    Z[rng.randrange(n), rng.randrange(n)] ^= True
+                s._memo["zero_product_matrix"] = Z
+            elif kind == "covers":
+                for _ in range(rng.randint(0, 2)):
+                    cov[rng.randrange(n)] = rng.randrange(n)
+                s._memo["cover_ids"] = cov
+            partial = order.build_order(s).diagnostics.all_pass
+            if kind == "join" and partial:
+                pt = order.pair_tables(s)
+                join = np.array(pt.join)
+                a = rng.randrange(n)
+                cs = np.flatnonzero(Z[a]).tolist()
+                for c in rng.sample(cs, min(len(cs), rng.randint(0, 4))):
+                    join[a, c] = rng.randrange(-1, n)
+                s._memo["pair_tables"] = order.PairTables(pt.cub, pt.meet, join)
+            orth = lambda a, b: bool(Z[a, b])
+
+            got = _verdict(theorems._check_order_equivalence(s))
+            assert got == oracle_order_equivalence(t, orth, cov.tolist()), (r.label, kind)
+            met.add(("order-equivalence", got and got[1]))
+            le = lambda a, b: bool(Z[a, add[b][neg[a]]])
+            got = _verdict(theorems._check_subtractivity_forward(s))
+            assert got == oracle_subtractivity_forward(t, le, cov.tolist()), (r.label, kind)
+            met.add(("subtractivity-forward", got and got[1]))
+            if not partial:  # joins need a partial order
+                with pytest.raises(so.PreconditionError, match="not a partial order"):
+                    theorems._check_ortho_decomposition(s)
+                continue
+            join = order.pair_tables(s).join
+            got = theorems._check_ortho_decomposition(s)
+            want = oracle_ortho_decomposition(t, orth, lambda a, c: int(join[a, c]))
+            assert (got.witness, got.note) == (want, None), (r.label, kind)
+            met.add(("ortho-decomposition", kind, got.passed))
+            if want:  # the row's first failing c need not give its least b
+                a, b = want
+                cs = [c for c in range(n) if Z[a, c] and join[a, c] != add[a][c]]
+                if add[a][cs[0]] != b:
+                    met.add("first c is not the least b")
+    # The last term follows from the others where the relation is reflexive
+    # and the covers commute: b·C(a) = a + (b - a)·C(b - a)·C(a) =
+    # a + (b - a)·(C(b) - C(a))·C(a) = a. On Z7 a flip of Z at [3, 0] makes
+    # 3 ≰ 3, one at [5, 3] makes 5 <= 1, and C(3) = 0 keeps the first three
+    # terms, so only 1·C(5) = 1 != 5 fails.
+    s = fresh(so.build_modular(7))
+    Z = np.array(analysis.zero_product_matrix(s))
+    cov = np.array(analysis.cover_ids(s))
+    Z[3, 0], Z[5, 3], cov[3] = False, True, 0
+    s._memo.update(zero_product_matrix=Z, cover_ids=cov)
+    t = ring_tables(s)
+    le = lambda a, b: bool(Z[a, t[0][b][t[0][a].index(0)]])
+    got = _verdict(theorems._check_subtractivity_forward(s))
+    assert got == oracle_subtractivity_forward(t, le, cov.tolist())
+    met.add(("subtractivity-forward", got and got[1]))
+    # Each theorem passes and fails, each kind of case reaches a verdict of
+    # ortho-decomposition, and some failing row has a first failing c
+    # whose a + c is not its least b.
+    assert met >= {
+        ("order-equivalence", None),
+        ("order-equivalence", "bruteforce-vs-star"),
+        ("order-equivalence", "bruteforce-vs-cover"),
+        ("subtractivity-forward", None),
+        ("subtractivity-forward", "cover-subtraction"),
+        ("subtractivity-forward", "cover-monotone"),
+        ("subtractivity-forward", "a-equals-a-cover-b"),
+        ("subtractivity-forward", "a-equals-b-cover-a"),
+        ("ortho-decomposition", "Z", False),
+        ("ortho-decomposition", "join", False),
+        ("ortho-decomposition", "join", True),
+        ("ortho-decomposition", "covers", True),
+        "first c is not the least b",
+    }
 
 
 @given(
