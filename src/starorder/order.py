@@ -141,10 +141,10 @@ def _diagnose(leq: np.ndarray, up: np.ndarray | None) -> OrderDiagnostics:
     return OrderDiagnostics(reflexive, antisymmetric, transitive)
 
 
-def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
+def _cover_certificate(ring: StarRing, leq: np.ndarray, ac: np.ndarray) -> bool:
     """Every C(x) is a central projection, e·y <= y for every central
     projection e (L0), every a <= b has a = C(a)·b (F1), and x ⊥ y iff
-    C(x)·C(y) = 0 (OC).
+    C(x)·C(y) = 0 (OC). ``ac`` is `times_covers(ring)`.
 
     L0 holds for the Conrad relation of any ring: for x = e·y,
     x·r·(y − x) = e·y·r·(1 − e)·y = e(1 − e)·y·r·y = 0. Each term is
@@ -165,9 +165,10 @@ def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
     Where the certificate holds:
     - transitivity: a <= b <= c gives a = C(a)C(b)·c by F1. So C(b)·a = a,
       C(a)C(b) = C(a) by minimality, a = C(a)·c and a <= c.
-    - cub: let v bound a and b. F1 gives a·C(b) = C(a)C(b)·v = b·C(a), so
-      j = a + b − a·C(b) has C(a)·j = a and C(b)·j = b, and j bounds both.
-      So a and b have a common upper bound iff j is one.
+    - cub: a and b have a common upper bound iff a·C(b) = b·C(a), and then
+      j = a + b − a·C(b) is one. If v bounds a and b, F1 gives
+      a·C(b) = C(a)C(b)·v = b·C(a). If a·C(b) = b·C(a), then C(a)·j = a
+      and C(b)·j = b, so j bounds both by L0.
     - lub: for an upper bound c of a and b, F1 gives
       j = (C(a) + C(b) − C(a)C(b))·c <= c. So j is the join where it
       bounds a and b.
@@ -190,7 +191,7 @@ def _cover_certificate(ring: StarRing, leq: np.ndarray) -> bool:
         central[cover_ids(ring)].all()
         and not (leq & ~cover_leq_matrix(ring)).any()
         and leq[ring.multiplication[central], np.arange(ring.order)].all()
-        and np.array_equal(zero_product_matrix(ring), times_covers(ring)[cover_ids(ring)] == 0)
+        and np.array_equal(zero_product_matrix(ring), ac[cover_ids(ring)] == 0)
     )
 
 
@@ -210,15 +211,16 @@ def _bounds(leq: np.ndarray, values: np.ndarray, above: bool) -> np.ndarray:
 
 
 def build_order(ring: StarRing) -> OrderStructure:
-    """Fill the relation by brute force and diagnose the order axioms.
-
-    Where the cover certificate holds, transitivity and the common upper
-    bounds follow from it; elsewhere they come from the up-set counts."""
+    """Read the relation off the zero-product matrix and diagnose the
+    order axioms. Where the cover certificate holds, transitivity follows
+    from it and `cub` is a·C(b) = b·C(a); elsewhere both come from the
+    up-set counts."""
 
     def build():
         leq = leq_matrix(ring)
-        if _cover_certificate(ring, leq):
-            up, cub = None, _bounds(leq, _formula_tables(ring)[1], True)
+        ac = times_covers(ring)
+        if _cover_certificate(ring, leq, ac):
+            up, cub = None, ac == ac.T
         else:
             up = _frozen(_counts(leq))
             cub = up > 0
@@ -257,8 +259,9 @@ class PairTables:
 
     ``meet``/``join`` hold the glb and lub where they exist, else -1: a
     pair without a common upper bound holds -1 in both. Each is the cover
-    formula value a·C(b) or a+b-a·C(b) where that verifies, else a scanned
-    one, so a value differing from the formula is itself a finding.
+    formula value a·C(b) or a+b-a·C(b) where the cover certificate or the
+    bound counts prove it, else a scanned one, so a value differing from
+    the formula is itself a finding.
     """
 
     cub: np.ndarray
@@ -283,29 +286,23 @@ def pair_tables(ring: StarRing) -> PairTables:
         structure = _partial_order(ring)
         leq, leq_t, cub, up = structure.leq, structure.leq_t, structure.cub, structure.up
         mv, jv = _formula_tables(ring)  # a·C(b) and (a+b) - a·C(b)
-        lower = _bounds(leq, mv, False)
-        # The formula values are expected to verify where a common upper
-        # bound exists; each that does not becomes -1 in place, and a raw
-        # scan below replaces it where a bound exists. Where the cover
-        # certificate holds, a bounding formula value is the glb or lub, and
-        # the join formula bounds exactly the pairs of `cub`.
+        # Where the cover certificate holds, both are the glb and lub on
+        # `cub`, by (P). Elsewhere each that the counts do not verify becomes
+        # -1 in place, and a raw scan replaces it where a bound exists.
         if structure.certified:
-            mv[~(lower & cub)] = -1
-            jv[~cub] = -1
+            mv[~cub] = jv[~cub] = -1
         else:
             # A common upper bound v of a and b is least iff |up(v)| =
             # |up(a) ∩ up(b)|, by transitivity; dually for the meet. |up(v)|
             # is a diagonal entry.
             down = _counts(leq_t)  # |down(a) ∩ down(b)| at [a, b]
-            for values, ok, counts in ((mv, lower, down), (jv, _bounds(leq, jv, True), up)):
-                ok &= cub
-                ok &= counts == np.diagonal(counts)[values]
+            for values, above, counts, rel in ((mv, False, down, leq_t), (jv, True, up, leq)):
+                ok = _bounds(leq, values, above) & cub & (counts == np.diagonal(counts)[values])
                 values[~ok] = -1
-        for values, rel in ((mv, leq_t), (jv, leq)):
-            for a, b in np.argwhere(cub & (values < 0)):
-                v = _least_upper(rel, int(a), int(b))
-                if v is not None:
-                    values[a, b] = v
+                for a, b in np.argwhere(cub & ~ok):
+                    v = _least_upper(rel, int(a), int(b))
+                    if v is not None:
+                        values[a, b] = v
         return PairTables(cub, _frozen(mv), _frozen(jv))
 
     return ring.memo("pair_tables", build)
@@ -313,11 +310,11 @@ def pair_tables(ring: StarRing) -> PairTables:
 
 def meet(ring: StarRing, a: int, b: int) -> int | None:
     """The glb of a and b read from `pair_tables`: a·C(b) where that value
-    verifies, else a scanned one. None (-1 in the table) marks a pair with
-    no common upper bound or no glb. On a ring that is not p.q.-Baer * the
-    cover formula can misfire (the swap ring at (1, 2)); the verified glb
-    is returned there. Raises `PreconditionError` unless the relation is a
-    partial order."""
+    is proved or verified, else a scanned one. None (-1 in the table) marks
+    a pair with no common upper bound or no glb. On a ring that is not
+    p.q.-Baer * the cover formula can misfire (the swap ring at (1, 2));
+    the verified glb is returned there. Raises `PreconditionError` unless
+    the relation is a partial order."""
     a = ring.check(a)
     b = ring.check(b)
     v = int(pair_tables(ring).meet[a, b])

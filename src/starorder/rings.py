@@ -519,14 +519,16 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
         ("add", spec.add, (n, n)), ("mul", spec.mul, (n, n)), ("star", spec.star, (n,))
     ):
         try:
-            t = np.array(rows, dtype=np.int64)
+            t = np.array(rows)
+            if t.dtype.kind in "fO":  # refused below, but ints beyond int64
+                np.array(rows, dtype=np.int64)  # raise OverflowError here
         except OverflowError:
             # An entry beyond int64 is out of range too. Entries of n stand
             # for it, so _validated_ring reports the tables in its usual order.
             t = np.full(np.shape(rows), n)
         except (TypeError, ValueError):  # entries that are not all numbers
             t = None
-        if t is None or t.shape != shape:
+        if t is None or t.dtype.kind not in "iu" or t.shape != shape:
             raise RingSpecError(f"{label}: {name} table entries must be integers")
         tables.append(t)
     return _validated_ring(label, *tables, int(spec.one))

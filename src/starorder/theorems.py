@@ -259,9 +259,10 @@ def _check_meet_join(ring: StarRing) -> CheckResult:
     a·C(b) and a+b-a·C(b) are the order-theoretic glb/lub.
 
     The paper's other three forms cannot fail once these pass, for any
-    cover array: `order.pair_tables` holds only verified glbs and lubs of a
-    partial order, which are unique, and having a common upper bound is
-    symmetric in a and b.
+    cover array: `order.pair_tables` holds only glbs and lubs of a partial
+    order (on a certified ring, the formula values that the cover
+    certificate proves), which are unique, and having a common upper bound
+    is symmetric in a and b.
     - meet = b·C(a): meet[a, b] = meet[b, a], which is b·C(a) by the meet
       formula at (b, a).
     - join = a + b·(1-C(a)): by distributivity b·(1-C(a)) = b - b·C(a),

@@ -350,6 +350,8 @@ class TestTables:
             (((0, (1,)), (1, 0)), ((0, 0), (0, 1)), (0, 1)),
             (((0, 1), (1, 0)), (((0,), (0,)), ((0,), (1,))), (0, 1)),
             (((0, 1), (1, 0)), ((0, 0), (0, 1)), (None, 1)),
+            (((0, 1), (1, 0)), ((0, 0), (0, 1.7)), (0, 1)),
+            (((0, 1), (1, 0)), ((0, 0), (0, 1)), (0, "1")),
         ],
     )
     def test_entries_that_are_not_integers_refused(self, add, mul, star):
