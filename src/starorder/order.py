@@ -181,6 +181,7 @@ def _cover_certificate(ring: StarRing, leq: np.ndarray, ac: np.ndarray) -> bool:
     - (O) x ⊥ y gives meet 0 and join x + y: x·C(y) = 0, so the formula
       values are 0, below both by L0, and x + y, which bounds both as
       C(x)·(x + y) = x and C(y)·(x + y) = y.
+    - 0 ⊥ y: minimality at x = e = 0 gives C(0) = 0, then OC.
     - descends: x <= y gives C(y)·x = x by F1, so C(x)C(y) = C(x) by
       minimality; y ⊥ z gives C(x)C(z) = C(x)C(y)C(z) = 0, so x ⊥ z by OC.
     - cancellation: x ⊥ y, x ⊥ z and y <= x∨z = x + z, by (O), give

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -517,7 +518,64 @@ def _certificate_corpus(curated_pq, swap_ring, t2z2, non_semiprime):
     return rings
 
 
+# The theorems `run_theorem` passes on a certified ring without running
+# their checks, as the cover certificate proves them.
+PROVED = {
+    "cub-characterization": theorems._check_cub_characterization,
+    "lattice-characterization": theorems._check_lattice_characterization,
+    "meet-join": theorems._check_meet_join,
+    "ortho-cancellation": theorems._check_cancellation,
+    "orthogonality-axioms": theorems._check_orthogonality_axioms,
+    "quasi-orthomodular": theorems._check_quasi_orthomodular,
+}
+
+
+def _checks_run(ring, theorem_id):
+    """The verdict of `run_theorem` and the checks of PROVED it called."""
+    codes = {check.__code__: tid for tid, check in PROVED.items()}
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            ran.add(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        verdict = theorems.run_theorem(ring, theorem_id)
+    finally:
+        sys.setprofile(None)
+    return verdict, ran
+
+
 class TestCoverCertificate:
+    def test_proved_theorems_pass_their_checks_on_certified_rings(
+        self, curated_pq, swap_ring, t2z2, non_semiprime
+    ):
+        # The exhaustive check of each theorem the certificate proves passes
+        # on every certified ring: the cross-check of its proofs.
+        certified = 0
+        for r in _certificate_corpus(curated_pq, swap_ring, t2z2, non_semiprime):
+            if not order.build_order(r).certified:
+                continue
+            certified += 1
+            for tid, check in PROVED.items():
+                assert check(r).passed, (r.label, tid)
+        assert certified >= len(curated_pq)
+
+    def test_run_theorem_runs_proved_checks_only_off_the_certificate(self, curated_pq):
+        # On a certified ring the verdict is the proof's and no check runs;
+        # with the certificate switched off each check runs and passes.
+        # quasi-orthomodular ends in the cancellation check.
+        for r in curated_pq:
+            for tid in PROVED:
+                verdict, ran = _checks_run(fresh(r), tid)
+                assert verdict.status == "pass" and not ran, (r.label, tid)
+                with pytest.MonkeyPatch.context() as mp:
+                    _count_path(mp)
+                    verdict, ran = _checks_run(fresh(r), tid)
+                want = {tid, "ortho-cancellation"} if tid == "quasi-orthomodular" else {tid}
+                assert verdict.status == "pass" and ran == want, (r.label, tid)
+
     def test_certified_order_matches_the_count_path(
         self, curated_pq, swap_ring, t2z2, non_semiprime
     ):

@@ -68,8 +68,8 @@ class TestOrthogonalityAxioms:
         # With the true orthogonality, and with random symmetric pairs of it
         # flipped in the memo, beside the true relation, before the order is
         # built: Z stays symmetric but "descends" can fail. Verdict and
-        # first witness. A flipped Z breaks the cover certificate, so the
-        # count product runs.
+        # first witness. A flipped Z breaks the cover certificate; the
+        # check runs the count product on either path.
         rng = random.Random(8)
         notes = []
         for r in [s for s in curated_pq if s.order <= 30]:
@@ -203,7 +203,7 @@ class TestQuasiOrthomodular:
                     for a, b in flips:
                         Z[a, b] = not Z[a, b]
                     # The order reads the true relation; the flipped Z
-                    # breaks the cover certificate, so the scan runs.
+                    # breaks the cover certificate.
                     s = fresh(r)
                     s._memo.update(leq_matrix=order.leq_matrix(r), zero_product_matrix=Z)
                     assert not order.build_order(s).certified, (r.label, flips)
@@ -215,8 +215,8 @@ class TestQuasiOrthomodular:
     def test_cancellation_scans_a_partial_order_without_f1(self, z6):
         # Z6's order with 2 <= 1 added, closed under transitivity by 5 <= 1:
         # every orthogonal pair still has join x + y and x·C(y) = 0, but F1
-        # fails at (2, 1), so the cover certificate does not hold and the
-        # scan runs. 3 ⊥ 2, 3 ⊥ 4 and 2 <= 3∨4 = 1, but not 2 <= 4.
+        # fails at (2, 1), so the cover certificate does not hold and
+        # `run_theorem` scans. 3 ⊥ 2, 3 ⊥ 4 and 2 <= 3∨4 = 1, but not 2 <= 4.
         s = fresh(z6)
         leq = np.array(order.leq_matrix(z6))
         leq[[2, 5], 1] = True
@@ -228,6 +228,7 @@ class TestQuasiOrthomodular:
         assert (order.pair_tables(s).join[x, y] == s.addition[x, y]).all()
         assert not s.multiplication[x, analysis.cover_ids(s)[y]].any()
         assert theorems._check_cancellation(s).witness == (3, 2, 4)
+        assert so.run_theorem(s, "ortho-cancellation").witness == (3, 2, 4)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_cancellation_witness_is_first_in_y_then_z(self, block):

@@ -315,6 +315,18 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
                 cs = [c for c in range(n) if Z[a, c] and join[a, c] != add[a][c]]
                 if add[a][cs[0]] != b:
                     met.add("first c is not the least b")
+            # leq is read from Z, so a quasi-orthomodular term other than
+            # cancellation fails only where ortho-join or ortho-decomposition
+            # fails too. Those two run on certified rings, where
+            # quasi-orthomodular passes by the cover certificate.
+            note = theorems._check_quasi_orthomodular(s).note
+            term = {
+                "join-exists": theorems._check_ortho_join,
+                "decomposition": theorems._check_ortho_decomposition,
+            }.get(note)
+            if term:
+                assert not term(s).passed, (r.label, kind, note)
+                met.add(("quasi-orthomodular", kind, note))
     # The last term follows from the others where the relation is reflexive
     # and the covers commute: b·C(a) = a + (b - a)·C(b - a)·C(a) =
     # a + (b - a)·(C(b) - C(a))·C(a) = a. On Z7 a flip of Z at [3, 0] makes
@@ -331,8 +343,9 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
     assert got == oracle_subtractivity_forward(t, le, cov.tolist())
     met.add(("subtractivity-forward", got and got[1]))
     # Each theorem passes and fails, each kind of case reaches a verdict of
-    # ortho-decomposition, and some failing row has a first failing c
-    # whose a + c is not its least b.
+    # ortho-decomposition, some failing row has a first failing c whose
+    # a + c is not its least b, and both quasi-orthomodular terms fail on a
+    # flipped Z and on rewritten joins.
     assert met >= {
         ("order-equivalence", None),
         ("order-equivalence", "bruteforce-vs-star"),
@@ -347,6 +360,10 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
         ("ortho-decomposition", "join", True),
         ("ortho-decomposition", "covers", True),
         "first c is not the least b",
+        ("quasi-orthomodular", "Z", "join-exists"),
+        ("quasi-orthomodular", "Z", "decomposition"),
+        ("quasi-orthomodular", "join", "join-exists"),
+        ("quasi-orthomodular", "join", "decomposition"),
     }
 
 
