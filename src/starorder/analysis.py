@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import StarRing, _first, _frozen, _row_blocks
+from .rings import _DT, StarRing, _first, _frozen, _row_blocks
 
 FLAG_NAMES = (
     "semiprime",
@@ -123,7 +123,7 @@ class CentralCoverTable:
 
 
 def cover_ids(ring: StarRing) -> np.ndarray:
-    """Central cover C(x) of every element x, as an int array.
+    """Central cover C(x) of every element x, as an int32 array.
 
     C(x) is the product of the central projections e with e·x = x: 1 is
     one, and a product of commuting central projections that fix x is a
@@ -133,7 +133,7 @@ def cover_ids(ring: StarRing) -> np.ndarray:
     def build():
         M = ring.multiplication
         idx = np.arange(ring.order)
-        out = np.full(ring.order, ring.one, dtype=np.int64)
+        out = np.full(ring.order, ring.one, dtype=_DT)
         for e in central_projection_ids(ring):
             fixes = M[e] == idx
             out[fixes] = M[out[fixes], e]

@@ -717,3 +717,13 @@ def oracle_subtractivity_forward(t, leq, covers):
             if leq(a, b) and not holds(a, b):
                 return (a, b), note
     return None
+
+
+def oracle_subtractivity_biconditional(t, leq, covers):
+    """The first pair (a, b), row-major, at which ``leq(a, b)`` differs
+    from C(b - a) = C(b) - C(a), or None. ``covers[x]`` is taken as C(x)."""
+    sub = _minus(t[0])
+    for a, b in product(range(len(t[0])), repeat=2):
+        if leq(a, b) != (covers[sub(b, a)] == sub(covers[b], covers[a])):
+            return a, b
+    return None

@@ -24,6 +24,7 @@ from helpers import (
     oracle_ortho_decomposition,
     oracle_problem2,
     oracle_problem2_failures,
+    oracle_subtractivity_biconditional,
     oracle_subtractivity_forward,
     ring_tables,
 )
@@ -263,7 +264,8 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
     # built pair tables rewritten; or with a few covers rewritten before
     # anything is built. order-equivalence reads its star term off rows a
     # and a* of Z, and ortho-decomposition runs at [a, c = b - a]; the
-    # oracles state both at [a, b].
+    # oracles state both at [a, b]. subtractivity-forward reads only the
+    # pairs a <= b, and the biconditional runs where 2 is invertible.
     rng = random.Random(26)
     met = set()
     for r in (curated_pq + [swap_ring, t2z2]) * 3:
@@ -271,6 +273,8 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
         add = t[0]
         n = r.order
         neg = [add[x].index(0) for x in range(n)]
+        mul, one = t[1], t[3]
+        two_invertible = any(mul[add[one][one]][x] == one for x in range(n))
         for kind in ("Z", "join", "covers"):
             s = fresh(r)
             Z = np.array(analysis.zero_product_matrix(r))
@@ -301,6 +305,11 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
             got = _verdict(theorems._check_subtractivity_forward(s))
             assert got == oracle_subtractivity_forward(t, le, cov.tolist()), (r.label, kind)
             met.add(("subtractivity-forward", got and got[1]))
+            if two_invertible and kind != "join":  # odd Z_n, Z3 and Z5 products, M2(Z3)
+                got = theorems._check_subtractivity_biconditional(s)
+                want = oracle_subtractivity_biconditional(t, le, cov.tolist())
+                assert (got.witness, got.note) == (want, None), (r.label, kind)
+                met.add(("subtractivity-biconditional", kind, got.passed))
             if not partial:  # joins need a partial order
                 with pytest.raises(so.PreconditionError, match="not a partial order"):
                     theorems._check_ortho_decomposition(s)
@@ -342,7 +351,8 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
     got = _verdict(theorems._check_subtractivity_forward(s))
     assert got == oracle_subtractivity_forward(t, le, cov.tolist())
     met.add(("subtractivity-forward", got and got[1]))
-    # Each theorem passes and fails, each kind of case reaches a verdict of
+    # Each theorem passes and fails (the biconditional on a flipped Z and on
+    # rewritten covers), each kind of case reaches a verdict of
     # ortho-decomposition, some failing row has a first failing c whose
     # a + c is not its least b, and both quasi-orthomodular terms fail on a
     # flipped Z and on rewritten joins.
@@ -355,6 +365,9 @@ def test_equivalence_decomposition_and_subtractivity_match_oracles(
         ("subtractivity-forward", "cover-monotone"),
         ("subtractivity-forward", "a-equals-a-cover-b"),
         ("subtractivity-forward", "a-equals-b-cover-a"),
+        ("subtractivity-biconditional", "Z", False),
+        ("subtractivity-biconditional", "covers", True),
+        ("subtractivity-biconditional", "covers", False),
         ("ortho-decomposition", "Z", False),
         ("ortho-decomposition", "join", False),
         ("ortho-decomposition", "join", True),

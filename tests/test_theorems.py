@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import starorder as so
 from corpus import fresh, relabelled
 from helpers import oracle_cub_star_identities, oracle_cub_star_terms, ring_tables
-from starorder import rings, theorems
+from starorder import analysis, order, rings, theorems
 
 EXPECTED_IDS = (
     "annihilator-identity",
@@ -149,6 +150,23 @@ class TestSuiteVerdicts:
             by_id = {v.theorem: v for v in so.run_suite(so.build_modular(n))}
             assert by_id["cover-remark-identities"].status == "pass"
             assert by_id["cover-uniqueness"].status == "pass"
+
+    def test_subtractivity_forward_builds_no_table(self):
+        # The forward check gathers its four terms over the pairs a <= b
+        # only (6 % of all pairs on (Z2)^10), so its transient peak stays
+        # below one n × n int32 table. The covers are int32 like the tables.
+        ring = so.build_product([so.build_modular(2)] * 10)
+        n = ring.order
+        order.leq_matrix(ring)  # memoised before tracing, with the tables below
+        ring.sub_table()
+        assert analysis.cover_ids(ring).dtype == ring.multiplication.dtype
+        tracemalloc.start()
+        try:
+            assert theorems._check_subtractivity_forward(ring).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 4, peak
 
 
 class TestReplay:
