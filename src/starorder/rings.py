@@ -142,40 +142,48 @@ def _first_rows(n: int, row_size: int, mask_of) -> tuple[int, ...] | None:
 
 def _generators(
     op: np.ndarray, base: list[int], limit: int | None = None
-) -> list[int] | None:
+) -> tuple[list[int], np.ndarray, list[int]] | tuple[None, None, None]:
     """A greedy generating set G of the magma ``(elements, op)`` over
     ``base``: every element is an op-product of elements of base and G.
 
     Starting from R = base, the smallest element outside R joins G and R is
     closed under op, until R holds every element. Closure only forms
     products that involve a newly reached element, so building G costs
-    O(n^2) in all. Past ``limit`` generators None is returned: an abelian
-    group of order n needs at most log2(n) of them over {0}, since each one
-    at least doubles R.
+    O(n^2) in all. Returns ``(G, reach, sizes)``: ``reach`` lists the
+    elements in the order R reached them, so R once g_i's closure is done
+    is ``reach[:sizes[i - 1]]``. Past ``limit`` generators
+    ``(None, None, None)`` is returned: an abelian group of order n needs
+    at most log2(n) of them over {0}, since each one at least doubles R.
     """
     n = op.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[base] = True
+    size, seq, sizes = len(base), [np.array(base, dtype=np.intp)], []
     gens: list[int] = []
-    while not reached.all():
+    while size < n:
         if len(gens) == limit:
-            return None
+            return None, None, None
         g = int(np.argmin(reached))
         gens.append(g)
         reached[g] = True
-        new = np.array([g])
-        while new.size:
+        new, size = np.array([g]), size + 1
+        seq.append(new)
+        # Once R holds every element it is closed: no round confirms it.
+        while new.size and size < n:
             r = np.flatnonzero(reached)
-            hit = np.zeros(n, dtype=bool)
+            hit = reached.copy()
             hit[op[new[:, None], r]] = True
             hit[op[r[:, None], new]] = True
-            new = np.flatnonzero(hit & ~reached)
-            reached[new] = True
-    return gens
+            new = np.flatnonzero(hit ^ reached)
+            reached, size = hit, size + new.size
+            seq.append(new)
+        sizes.append(size)
+    return gens, np.concatenate(seq), sizes
 
 
-def _group_generators(add: np.ndarray) -> list[int] | None:
-    """The additive generating set G every ring keeps (|G| <= log2 n)."""
+def _group_generators(add: np.ndarray) -> tuple:
+    """The additive generating set G every ring keeps (|G| <= log2 n), with
+    the reach order and sizes of ``_generators``."""
     return _generators(add, [0], add.shape[0].bit_length())
 
 
@@ -186,42 +194,55 @@ def validate_tables(
 
     Returns ``(violations, G)``: one ``(axiom, witness)`` pair per violated
     axiom, with the lexicographically first witness, and the additive
-    generating set G of ``_group_generators`` (None when none is found).
-    The four triple axioms are proved on G, so an accepted table costs
-    O(|G|·n^2):
+    generating set G = g_1 … g_k of ``_group_generators`` (None when none
+    is found). Once + is an abelian group, H_i, the set that
+    ``_generators`` has reached after g_i's closure, is the subgroup
+    g_1 … g_i generate: {0} = H_0 ⊂ H_1 ⊂ … ⊂ H_k = R. The axioms below
+    are proved on G and this chain, so an accepted table costs O(|G|·n^2)
+    for Light's test, O(n^2) for the distributive laws, O(n) for
+    star-additive and O(|G|^2) for star-multiplicative:
 
     - add-associative (Light's test): the elements ``a`` with
       ``(x+a)+y = x+(a+y)`` for all x, y are closed under +, so testing
       the generators (and 0, unless it is neutral) covers every element.
-    - left-/right-distributive, given the additive group: the ``z`` with
-      ``x(y+z) = xy+xz`` (resp. ``(y+z)x = yx+zx``) for all x, y are
-      closed under +, so testing z in G suffices.
+    - left-/right-distributive and star-additive, given the additive
+      group: each says some f is additive, f being y ↦ xy (resp. y ↦ yx)
+      for every x, or star. Test T_i checks f(y + g_i) = f(y) + f(g_i) at
+      y in H_i only. T_1 at y = 0 gives f(0) = 0, so f is additive on H_0.
+      If f is additive on H_{i-1}, T_i and induction on c give
+      f(h + c·g_i) = f(h) + c·f(g_i) for all h in H_{i-1} and c >= 0, so
+      f is additive on H_i = H_{i-1} + <g_i>. By Lagrange
+      |H_i| >= 2|H_{i-1}|, so Σ|H_i| < 2n: a law costs less than the full
+      test at two generators.
     - mul-associative, given both distributive laws: the associator
       ``(xy)z - x(yz)`` is additive in each argument, so it vanishes
       everywhere once it vanishes on G^3.
+    - star-multiplicative, given star-additive and both distributive
+      laws: (x, y) ↦ (xy)* - y*x* is additive in each argument, so G^2
+      suffices.
 
     An axiom whose test fails, or whose precondition does not hold, falls
-    back to the exhaustive O(n^3) scan for that axiom alone, which finds
-    the witness. Two more certificates cut that scan short:
+    back to the exhaustive scan for that axiom alone, which finds the
+    witness. Two more certificates cut the O(n^3) scans short:
 
     - mul-associative without the G^3 proof: Light's test on a greedy
       generating set S of the magma (R, ·), which costs O(|S|·n^2) and
       proves the axiom when it passes. Each g in S costs about one row of
       the scan, so S is built only up to n/2 elements: a passing test then
       saves at least what a failing one can add, half a scan.
-    - a distributive law whose G test fails: with x the multiplier, row x
-      holds a witness exactly when ``x(y+g) != xy+xg`` (resp.
-      ``(y+g)x != yx+gx``) for some y and g in G, by the closure above.
-      So the first row failing the G test is the witness's x, and only
-      that row is scanned.
+    - a distributive law whose chain test fails: with x the multiplier,
+      row x holds a witness exactly when it fails some T_i, as a failure
+      is a witness and a row passing every T_i is additive. So the first
+      failing row is the witness's x, and only that row is scanned.
     """
     n = add.shape[0]
     idx = np.arange(n)
     bad: list[tuple[str, tuple[int, ...]]] = []
-    gens = _group_generators(add)
+    gens, reach, sizes = _group_generators(add)
+    gv = np.array(gens or [], dtype=np.intp)
 
     def proved_or_scanned(gs, fail_at, fail, by_row=False):
-        # fail_at(g) is the mismatch mask of the axiom's test at generator g.
+        # fail_at(g) is the mismatch mask of the axiom's test at g in gs.
         # If no g in gs fails, the axiom holds; otherwise (or with no gs)
         # the exhaustive scan finds the first witness: fail(xs) is the
         # [x, y, z] mismatch mask of the block of rows xs. With by_row,
@@ -240,8 +261,8 @@ def validate_tables(
         return (x, *_first(fail(np.array([x])))[1:])
 
     def light(op):
-        # [x, y]: (x·g)·y != x·(g·y), for op written as ·.
-        return lambda g: op[op[:, g]] != op[:, op[g]]
+        # [x, y]: (x·g)·y != x·(g·y), for op written as ·; np.take gathers fast.
+        return lambda g: op[op[:, g]] != np.take(op, op[g], axis=1)
 
     def undistributed(p):
         # p[x, y] is x·y or y·x; [x, y, z]: p[x, y+z] != p[x, y] + p[x, z].
@@ -260,27 +281,33 @@ def validate_tables(
         lambda xs: add[add[xs]] != add[xs][:, add],
     ))
     note("add-inverse", _first(~(add == 0).any(axis=1)))
-    # G, once + is an abelian group; then the row add[g] is also the column.
-    group_gens = None if bad else gens
+    # T_i's pairs (y, g_i, y + g_i), y in H_i = reach[:sizes[i - 1]], once +
+    # is an abelian group: T_1 … T_{k-1} as one test, and T_k, whose H_k is
+    # R, through slices, so it gathers no column.
+    chain = None if bad else [(slice(None), slice(g, g + 1), add[g]) for g in gens[-1:]]
+    if chain and gv.size > 1:
+        ys = np.concatenate([reach[:c] for c in sizes[:-1]])
+        gs = np.repeat(gv[:-1], sizes[:-1])
+        chain.insert(0, (ys, gs, add[ys, gs]))
+    cols = lambda c: mul[:, c] if isinstance(c, slice) else np.take(mul, c, axis=1)
     left = proved_or_scanned(
-        group_gens,
-        lambda g: np.take(mul, add[g], axis=1) != add[mul, mul[:, g][:, None]],
+        chain,
+        lambda t: np.take(mul, t[2], axis=1) != add[cols(t[0]), cols(t[1])],
         lambda xs: undistributed(mul[xs]),
         by_row=True,
     )
     right = proved_or_scanned(
-        group_gens,
-        lambda g: (mul[add[g]] != add[mul, mul[g]]).T,
+        chain,
+        lambda t: (mul[t[2]] != add[mul[t[0]], mul[t[1]]]).T,
         lambda xs: undistributed(mul[:, xs].T),
         by_row=True,
     )
-    ring_gens = None if left or right else group_gens
-    if ring_gens is None:
-        mul_gens, mul_at = _generators(mul, [], n // 2), light(mul)
+    distributive = chain is not None and not (left or right)
+    gg = mul[gv[:, None], gv]  # g·h at [g, h] in G^2
+    if distributive:  # one test of (gh)k != g(hk) at [g, h, k] in G^3
+        mul_gens, mul_at = [gv], lambda _: mul[gg[:, :, None], gv] != mul[gv[:, None, None], gg]
     else:
-        gv = np.array(ring_gens or [], dtype=np.intp)
-        mul_gens = ring_gens
-        mul_at = lambda g: mul[mul[g, gv][:, None], gv] != mul[g, mul[gv[:, None], gv]]
+        (mul_gens, *_), mul_at = _generators(mul, [], n // 2), light(mul)
     note("mul-associative", proved_or_scanned(
         mul_gens, mul_at, lambda xs: mul[mul[xs]] != mul[xs][:, mul]
     ))
@@ -288,8 +315,13 @@ def validate_tables(
     note("right-unit", _first(mul[:, one] != idx))
     note("left-distributive", left)
     note("right-distributive", right)
-    note("star-additive", _first(star[add] != add[star[:, None], star[None, :]]))
-    note("star-multiplicative", _first(star[mul] != mul[star[:, None], star[None, :]].T))
+    additive = chain is not None and not any(
+        (star[s] != add[star[ys], star[gs]]).any() for ys, gs, s in chain)
+    if not additive:
+        note("star-additive", _first(star[add] != add[star[:, None], star[None, :]]))
+    sv = star[gv]
+    if not (additive and distributive) or (star[gg] != mul[sv, sv[:, None]]).any():
+        note("star-multiplicative", _first(star[mul] != mul[star[:, None], star[None, :]].T))
     note("star-involutive", _first(star[star] != idx))
     return bad, gens
 
@@ -408,7 +440,7 @@ def build_product(
         )
 
     label = " x ".join(p.label for p in parts)
-    return _make_ring(label, add, mul, star, one, _group_generators(add), names)
+    return _make_ring(label, add, mul, star, one, _group_generators(add)[0], names)
 
 
 def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
@@ -462,7 +494,7 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
             for x in range(total)
         )
 
-    return _make_ring(f"M{k}({base.label})", add, mul, star, one, _group_generators(add), names)
+    return _make_ring(f"M{k}({base.label})", add, mul, star, one, _group_generators(add)[0], names)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,10 @@ def _check_cover_remark(ring: StarRing) -> CheckResult:
     if w:
         return _fail(cps[list(w)], "cover-of-central-projection")
 
-    Mc = M[cps]  # e·x at [e, x]
-    w = _first(covers[Mc] != np.take(Mc, covers, axis=1))
+    def unscaled(k):  # C(e·x) != e·C(x) at [e, x], for the rows e = cps[k]
+        Mc = M[cps[k]]
+        return covers[Mc] != np.take(Mc, covers, axis=1)
+    w = _first_rows(cps.size, ring.order, unscaled)
     if w:
         return _fail((cps[w[0]], w[1]), "cover-scaling")
 
@@ -385,9 +387,10 @@ def _check_quasi_orthomodular(ring: StarRing) -> CheckResult:
 
 
 def _check_ortho_cover_equivalence(ring: StarRing) -> CheckResult:
-    """x ⊥ y iff C(x)·C(y) = 0."""
-    Z = analysis.zero_product_matrix(ring)
-    w = _first(Z != (analysis.times_covers(ring)[analysis.cover_ids(ring)] == 0))
+    """x ⊥ y iff C(x)·C(y) = 0, a block of rows x at a time."""
+    Z, covers = analysis.zero_product_matrix(ring), analysis.cover_ids(ring)
+    cc = lambda xs: np.take(ring.multiplication[covers[xs]], covers, axis=1)  # C(x)·C(y)
+    w = _first_rows(ring.order, ring.order, lambda xs: Z[xs] != (cc(xs) == 0))
     return _fail(w) if w else PASS
 
 

@@ -607,6 +607,76 @@ def test_first_failing_row_is_least_over_all_generators():
     assert dict(want)["left-distributive"][0] == 5
 
 
+def _relabelled(t, mult):
+    """Tables t relabelled by x -> mult·x mod n, a bijection fixing 0 for
+    mult prime to n."""
+    add, mul, star, one = t
+    n = len(add)
+    p = [mult * x % n for x in range(n)]
+    add2 = [[0] * n for _ in range(n)]
+    mul2 = [[0] * n for _ in range(n)]
+    star2 = [0] * n
+    for x in range(n):
+        star2[p[x]] = p[star[x]]
+        for y in range(n):
+            add2[p[x]][p[y]] = p[add[x][y]]
+            mul2[p[x]][p[y]] = p[mul[x][y]]
+    return add2, mul2, star2, p[one]
+
+
+def _span(add, gens):
+    """The subgroup of (R, +) that gens generate, by plain closure."""
+    h = {0}
+    while more := {add[x][g] for x in h for g in gens} - h:
+        h |= more
+    return h
+
+
+_Z4p3 = ring_tables(so.build_product([so.build_modular(4)] * 3))
+
+
+# (Z4)^3, n = 64, as built and relabelled: each greedy G has three
+# generators of additive order 4, so 2·g_k lies outside H_{k-1} and outside
+# H_{k-1} + g_k. A fault there is seen by the last generator's test over all
+# of H_k, and by no test over a smaller subgroup.
+@pytest.mark.parametrize("tables", [_Z4p3, _relabelled(_Z4p3, 7)], ids=["Z4^3", "relabelled"])
+@pytest.mark.parametrize("fault", ["row", "column", "star"])
+def test_generator_chain_finds_faults_only_the_last_subgroup_holds(tables, fault):
+    add, mul, star, one = tables
+    mul, star = [row[:] for row in mul], list(star)
+    n = len(add)
+    _, G = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+    assert len(G) == 3 and all(len(_span(add, [g])) == 4 for g in G)
+    g1, gk = G[0], G[-1]
+    below = _span(add, G[:-1])  # H_{k-1}
+    y0 = add[gk][gk]
+    assert y0 not in below and all(add[y][gk] != y0 for y in below)
+    x = n - 1
+    if fault == "row":  # x·y0 is wrong: y -> x·y is additive but at y0
+        mul[x][y0] = add[mul[x][y0]][g1]
+    elif fault == "column":  # y0·x is wrong: y -> y·x is additive but at y0
+        mul[y0][x] = add[mul[y0][x]][g1]
+    else:  # star swapped at 2·g_1 and 3·g_1, outside G ∪ {0}
+        a, b = add[g1][g1], add[add[g1][g1]][g1]
+        assert {a, b}.isdisjoint([0, *G])
+        star[a], star[b] = star[b], star[a]
+        # (gh)* = h*g* still holds on G x G; star-additive fails, so the
+        # G x G test must not decide star-multiplicative.
+        assert all(star[mul[g][h]] == mul[star[h]][star[g]] for g in G for h in G)
+    want = oracle_violations((add, mul, star, one))
+    axioms = dict(want)
+    if fault == "star":
+        assert {"star-additive", "star-multiplicative"} <= set(axioms)
+    else:
+        law = "left-distributive" if fault == "row" else "right-distributive"
+        assert axioms[law][0] == x
+    for block in (rings._BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "_BLOCK", block)
+            got, _ = validate_tables(np.array(add), np.array(mul), np.array(star), one)
+        assert got == want, block
+
+
 def test_add_corrupted_table_builds_no_cube_scan(monkeypatch):
     # (Z2)^8 with one wrong sum: n = 256, so each scan block is one row of
     # n^2 elements. · is intact and associative; an n^3 mul-associative scan

@@ -97,6 +97,13 @@ def test_scans_match_oracles_on_perturbed_relations(curated_pq, block):
             got = _verdict(theorems._check_cover_remark(s))
             assert got == oracle_cover_remark(t, le, cov.tolist()), r.label
             met.add(got and got[1])
+            # x ⊥ y iff C(x)·C(y) = 0, scanned a block of rows x at a time.
+            got = _verdict(theorems._check_ortho_cover_equivalence(s))
+            mul = t[1]
+            pairs = ((x, y) for x in range(n) for y in range(n))
+            bad = (p for p in pairs if Z[p] != (mul[cov[p[0]]][cov[p[1]]] == 0))
+            assert got == next(((p, None) for p in bad), None), r.label
+            met.add(got and "orthogonality-cover-equivalence")
     # Every scan found witnesses, and reached the checks after its first.
     assert met >= {
         "transitive",
@@ -110,6 +117,7 @@ def test_scans_match_oracles_on_perturbed_relations(curated_pq, block):
         "cover-of-central-projection",
         "cover-scaling",
         "central-projection-order",
+        "orthogonality-cover-equivalence",
     }
 
 
