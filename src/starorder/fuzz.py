@@ -18,6 +18,7 @@ from .rings import (
     TableSpec,
     _cyclic_product_tables,
     _frozen,
+    _integer,
     _mixed_radix_weights,
     realize,
     spec_to_json,
@@ -36,6 +37,8 @@ class FuzzConfig:
     budget: int
 
     def __post_init__(self):
+        for f in ("max_order", "seed", "budget"):
+            object.__setattr__(self, f, _integer(getattr(self, f), f"fuzz {f} must be an integer"))
         if self.max_order < 1:
             raise RingSpecError("fuzz max_order must be >= 1")
         if self.budget < 1:

@@ -349,7 +349,6 @@ def _validated_ring(label: str, add, mul, star, one: int) -> StarRing:
     for name, t in (("add", add), ("mul", mul), ("star", star)):
         if t.size and (t.min() < 0 or t.max() >= n):
             raise RingSpecError(f"{label}: {name} table entry out of range")
-    one = int(one)
     if not 0 <= one < n:
         raise RingSpecError(f"{label}: one={one} out of range")
     add, mul, star = (np.ascontiguousarray(t, dtype=_DT) for t in (add, mul, star))
@@ -361,7 +360,7 @@ def _validated_ring(label: str, add, mul, star, one: int) -> StarRing:
 
 def build_modular(n: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
     """Z_n with the identity involution."""
-    n = int(n)
+    n = _integer(n, f"modular order must be an integer, got {n!r}")
     if n < 1:
         raise RingSpecError(f"modular order must be >= 1, got {n}")
     if n > cap:
@@ -451,7 +450,7 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
     A*)^T is additive, involutive and reverses products, since
     ((AB)*)_ij = Σ_l b*_li a*_jl = (B*A*)_ij.
     """
-    k = int(k)
+    k = _integer(k, f"matrix dimension must be an integer, got {k!r}")
     if k < 1:
         raise RingSpecError(f"matrix dimension must be >= 1, got {k}")
     if not base.is_commutative():
@@ -461,27 +460,25 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
         )
     cells = k * k
     # A base of order >= 2 caps k*k at log2(cap); one of order 1 would
-    # otherwise build a zero ring from k*k cells, at O(k^3) cost.
+    # otherwise build a zero ring from k*k cells, at O(k^2) cost.
     if cells > cap.bit_length() or base.order**cells > cap:
         raise OrderCapError(f"M{k}({base.label}) exceeds the order cap {cap}")
     total = base.order**cells
     # The additive group is the product of k*k copies of the base's.
     (add,), digits = _product_tables([base.order] * cells, [(base.addition,)] * cells)
     digits = digits.reshape(total, k, k)
-    w = [base.order ** (cells - 1 - c) for c in range(cells)]
-    mul = np.zeros((total, total), dtype=np.int64)
-    star = np.zeros(total, dtype=np.int64)
+    w = np.array([base.order ** (cells - 1 - c) for c in range(cells)], dtype=_DT)
+    # Row i of xy is (row i of x)·y. A matrix v < r is a row vector in the last
+    # row, so V[v, y] = v·y = Σ_l v_l·(row l of y); mul is V's Kronecker sum over x's rows.
+    r = base.order**k
+    V = np.zeros((r, total), dtype=_DT)
+    for l in range(k):
+        V = add[V, base.multiplication[digits[:r, -1, l, None, None], digits[None, :, l]] @ w[-k:]]
+    mul = np.zeros((1, total), dtype=_DT)
     for i in range(k):
-        for j in range(k):
-            c = i * k + j
-            s = base.multiplication[digits[:, None, i, 0], digits[None, :, 0, j]]
-            for l in range(1, k):
-                s = base.addition[
-                    s, base.multiplication[digits[:, None, i, l], digits[None, :, l, j]]
-                ]
-            mul += s.astype(np.int64) * w[c]
-            star += base.involution[digits[:, j, i]].astype(np.int64) * w[c]
-    one = sum(base.one * w[i * k + i] for i in range(k))
+        mul = ((V * r**i)[:, None] + mul[None]).reshape(-1, total)
+    star = base.involution[digits.transpose(0, 2, 1).reshape(total, cells)] @ w
+    one = base.one * int(w[:: k + 1].sum())
 
     def names():
         return tuple(
@@ -532,12 +529,12 @@ RingSpec = Union[ModularSpec, ProductSpec, MatrixSpec, TableSpec]
 
 def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
     """Materialize explicit tables after full axiom validation."""
-    n = int(spec.order)
+    n, zero, one = (_int_field(vars(spec), f) for f in ("order", "zero", "one"))
     if n < 1:
         raise RingSpecError(f"table order must be >= 1, got {n}")
     if n > cap:
         raise OrderCapError(f"table order {n} exceeds the cap {cap}")
-    if int(spec.zero) != 0:
+    if zero != 0:
         raise RingSpecError("element 0 must be the additive identity (zero=0)")
     if len(spec.add) != n or len(spec.mul) != n or len(spec.star) != n:
         raise RingSpecError("tables must be total over the declared order")
@@ -563,14 +560,18 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
         if t is None or t.dtype.kind not in "iu" or t.shape != shape:
             raise RingSpecError(f"{label}: {name} table entries must be integers")
         tables.append(t)
-    return _validated_ring(label, *tables, int(spec.one))
+    return _validated_ring(label, *tables, one)
+
+
+def _integer(v, message: str) -> int:
+    """``v`` as an int: a bool, a float or any other non-integer is refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise RingSpecError(message)
+    return int(v)
 
 
 def _int_field(obj: dict, key: str) -> int:
-    v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise RingSpecError(f"ring spec field {key!r} must be an integer")
-    return v
+    return _integer(obj.get(key), f"ring spec field {key!r} must be an integer")
 
 
 SPEC_MAX_DEPTH = 64
@@ -671,11 +672,5 @@ def realize(
 
 def ring_to_table_spec(ring: StarRing) -> TableSpec:
     """Dump a ring back to an explicit table spec (for replay)."""
-    return TableSpec(
-        ring.order,
-        tuple(tuple(int(v) for v in row) for row in ring.addition),
-        tuple(tuple(int(v) for v in row) for row in ring.multiplication),
-        tuple(int(v) for v in ring.involution),
-        0,
-        ring.one,
-    )
+    add, mul = (tuple(map(tuple, t.tolist())) for t in (ring.addition, ring.multiplication))
+    return TableSpec(ring.order, add, mul, tuple(ring.involution.tolist()), 0, ring.one)

@@ -125,6 +125,42 @@ class TestMatrix:
         with pytest.raises(so.OrderCapError):
             so.build_matrix(so.build_modular(1), 4)
 
+    @pytest.mark.parametrize("moduli, k", [((2,), 3), ((5,), 2), ((7,), 2), ((2, 3), 2)])
+    def test_tables_match_an_einsum_reference(self, moduli, k):
+        base = so.build_product([so.build_modular(m) for m in moduli])
+        ring = so.build_matrix(base, k)
+        add, mul, star, one = _einsum_matrix(moduli, k)
+        assert ring.order == add.shape[0]
+        assert np.array_equal(ring.addition, add)
+        assert np.array_equal(ring.multiplication, mul)
+        assert np.array_equal(ring.involution, star)
+        assert ring.one == one
+
+
+def _einsum_matrix(moduli, k):
+    """k x k matrices over Z_m1 x ... x Z_mt (mixed radix, first most
+    significant), row-major digits, star = transpose, each component's
+    product by ``np.einsum``: independent of ``build_matrix``."""
+    b, cells = int(np.prod(moduli)), k * k
+    n = b**cells
+    w = b ** np.arange(cells - 1, -1, -1, dtype=np.int32)
+    digits = (np.arange(n)[:, None] // w) % b
+    add = mul = star = base_one = 0
+    wt = 1  # the component's weight in a base index; the last is least significant
+    for m in reversed(moduli):
+        x = (digits // wt % m).astype(np.int16)  # (n, cells): the component's entries
+        mats = x.reshape(n, k, k)
+        s = x[:, None] + x[None]
+        s %= m
+        add = add + wt * np.einsum("abc,c->ab", s, w)
+        prod = np.einsum("aij,bjl->abil", mats, mats, optimize=True)
+        prod %= m
+        mul = mul + wt * np.einsum("abil,il->ab", prod, w.reshape(k, k))
+        star = star + wt * (mats.transpose(0, 2, 1).reshape(n, cells) @ w)
+        base_one += wt * (1 % m)
+        wt *= m
+    return add, mul, star, base_one * int(np.eye(k, dtype=int).reshape(cells) @ w)
+
 
 # build_product and build_matrix do not validate their output: it is a
 # *-ring by construction. These tests hold that construction to
@@ -168,7 +204,7 @@ _commutative_specs = st.recursive(
 _nested_specs = st.recursive(
     _commutative_specs,
     lambda kids: _products(kids)
-    | st.builds(so.MatrixSpec, _commutative_specs, st.sampled_from([2, 1])),
+    | st.builds(so.MatrixSpec, _commutative_specs, st.sampled_from([2, 1, 3])),
     max_leaves=4,
 ).filter(lambda spec: _spec_order(spec) <= 64)
 
@@ -358,6 +394,40 @@ class TestTables:
         # Not a TableValidationError: there is no axiom witness to report.
         with pytest.raises(so.RingSpecError, match="entries must be integers"):
             so.build_from_tables(so.TableSpec(2, add, mul, star, 0, 1))
+
+
+_Z2 = so.TableSpec(2, ((0, 1), (1, 0)), ((0, 0), (0, 1)), (0, 1), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: so.build_modular(2.5),
+        lambda: so.build_modular(True),
+        lambda: so.build_matrix(so.build_modular(2), 2.9),
+        lambda: so.build_from_tables(dataclasses.replace(_Z2, one=1.9)),
+        lambda: so.build_from_tables(dataclasses.replace(_Z2, one=True)),
+        lambda: so.build_from_tables(dataclasses.replace(_Z2, order=3.7)),
+        lambda: so.build_from_tables(dataclasses.replace(_Z2, zero=0.5)),
+        lambda: so.FuzzConfig(8, ("modular",), 2.5, 1),
+        lambda: so.FuzzConfig(4.5, ("modular",), 0, 1),
+        lambda: so.FuzzConfig(8, ("modular",), 0, "3"),
+    ],
+)
+def test_non_integers_refused_not_truncated(build):
+    with pytest.raises(so.RingSpecError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integers_accepted():
+    assert so.build_modular(np.int64(3)).order == 3
+    assert so.build_matrix(so.build_modular(np.uint8(2)), np.int32(2)).order == 16
+    spec = dataclasses.replace(_Z2, order=np.int64(2), one=np.int16(1))
+    assert so.build_from_tables(spec).one == 1
+    config = so.FuzzConfig(np.int64(8), ("modular",), np.uint64(7), np.int8(1))
+    assert json.dumps(config.to_json_dict()) == json.dumps(
+        so.FuzzConfig(8, ("modular",), 7, 1).to_json_dict()
+    )
 
 
 class TestElementOps:
