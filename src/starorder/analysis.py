@@ -55,10 +55,12 @@ def projection_mask(ring: StarRing) -> np.ndarray:
 
 
 def center_mask(ring: StarRing) -> np.ndarray:
+    """x is central iff it commutes with every g in G: y ↦ xy − yx is
+    additive, so the y that commute with x form a subgroup of (R, +)."""
+
     def build():
-        return _frozen(
-            (ring.multiplication == ring.multiplication.T).all(axis=1)
-        )
+        M, G = ring.multiplication, ring.generators
+        return _frozen((M[:, G] == M[G].T).all(axis=1))
 
     return ring.memo("center_mask", build)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -65,13 +66,13 @@ class StarRing:
         return range(self.order)
 
     def check(self, a: int) -> int:
-        """Validate an element id, rejecting ids from other rings."""
-        i = int(a)
-        if not 0 <= i < self.order:
+        """Validate an element id, rejecting ids from other rings and, as
+        ``_integer`` does, bools, floats and other non-integers."""
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
             raise ForeignElementError(
                 f"element {a!r} does not belong to {self.label} (order {self.order})"
             )
-        return i
+        return int(a)
 
     def add(self, a: int, b: int) -> int:
         return int(self.addition[self.check(a), self.check(b)])
@@ -110,10 +111,11 @@ class StarRing:
         )
 
     def is_commutative(self) -> bool:
-        return self.memo(
-            "commutative",
-            lambda: bool((self.multiplication == self.multiplication.T).all()),
-        )
+        """Whether every element commutes with every g in G, which is
+        enough: y ↦ xy − yx is additive, so the y that commute with x form
+        a subgroup of (R, +), all of R once it holds G."""
+        M, G = self.multiplication, self.generators
+        return bool((M[:, G] == M[G].T).all())
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -181,12 +183,6 @@ def _generators(
     return gens, np.concatenate(seq), sizes
 
 
-def _group_generators(add: np.ndarray) -> tuple:
-    """The additive generating set G every ring keeps (|G| <= log2 n), with
-    the reach order and sizes of ``_generators``."""
-    return _generators(add, [0], add.shape[0].bit_length())
-
-
 def validate_tables(
     add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int
 ) -> tuple[list[tuple[str, tuple[int, ...]]], list[int] | None]:
@@ -194,10 +190,10 @@ def validate_tables(
 
     Returns ``(violations, G)``: one ``(axiom, witness)`` pair per violated
     axiom, with the lexicographically first witness, and the additive
-    generating set G = g_1 … g_k of ``_group_generators`` (None when none
-    is found). Once + is an abelian group, H_i, the set that
-    ``_generators`` has reached after g_i's closure, is the subgroup
-    g_1 … g_i generate: {0} = H_0 ⊂ H_1 ⊂ … ⊂ H_k = R. The axioms below
+    generating set G = g_1 … g_k that ``_generators`` finds over {0}, which
+    every ring keeps (None past n.bit_length() of them). Once + is an
+    abelian group, H_i, the set it has reached after g_i's closure, is the
+    subgroup g_1 … g_i generate: {0} = H_0 ⊂ H_1 ⊂ … ⊂ H_k = R. The axioms below
     are proved on G and this chain, so an accepted table costs O(|G|·n^2)
     for Light's test, O(n^2) for the distributive laws, O(n) for
     star-additive and O(|G|^2) for star-multiplicative:
@@ -238,7 +234,7 @@ def validate_tables(
     n = add.shape[0]
     idx = np.arange(n)
     bad: list[tuple[str, tuple[int, ...]]] = []
-    gens, reach, sizes = _group_generators(add)
+    gens, reach, sizes = _generators(add, [0], n.bit_length())
     gv = np.array(gens or [], dtype=np.intp)
 
     def proved_or_scanned(gs, fail_at, fail, by_row=False):
@@ -328,7 +324,7 @@ def validate_tables(
 
 def _make_ring(
     label: str, add: np.ndarray, mul: np.ndarray, star: np.ndarray, one: int,
-    gens: list[int], names: Callable[[], tuple[str, ...]] | None = None,
+    gens: Sequence[int], names: Callable[[], tuple[str, ...]] | None = None,
 ) -> StarRing:
     """A ring over tables that satisfy every axiom, with G = ``gens``: a
     leaf's tables are validated, a composite's hold by construction."""
@@ -416,6 +412,10 @@ def build_product(
     The first part is most significant; the all-zero tuple lands at index 0.
     The result is not validated: a componentwise product of *-rings is a
     *-ring, since each axiom is an identity that holds in every component.
+    Its G is the parts' G at their weights, last part first, which is the
+    G ``_generators`` finds on it: the greedy closure always adds the least
+    unreached element, and on A x B the indices below |B| are {0} x B, so
+    it runs B's own search there, then A's at weight |B|.
     """
     parts = list(parts)
     if not parts:
@@ -439,7 +439,8 @@ def build_product(
         )
 
     label = " x ".join(p.label for p in parts)
-    return _make_ring(label, add, mul, star, one, _group_generators(add)[0], names)
+    gens = np.concatenate([p.generators * wt for p, wt in zip(parts[::-1], w[::-1])])
+    return _make_ring(label, add, mul, star, one, gens, names)
 
 
 def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRing:
@@ -448,7 +449,9 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
 
     The result is not validated: M_k(B) is a ring, and A ↦ (entrywise
     A*)^T is additive, involutive and reverses products, since
-    ((AB)*)_ij = Σ_l b*_li a*_jl = (B*A*)_ij.
+    ((AB)*)_ij = Σ_l b*_li a*_jl = (B*A*)_ij. Its additive group is
+    B^(k*k) laid out as ``build_product`` lays it out, so its G is the
+    base's G at each cell's weight, last cell first.
     """
     k = _integer(k, f"matrix dimension must be an integer, got {k!r}")
     if k < 1:
@@ -491,7 +494,8 @@ def build_matrix(base: StarRing, k: int, cap: int = DEFAULT_ORDER_CAP) -> StarRi
             for x in range(total)
         )
 
-    return _make_ring(f"M{k}({base.label})", add, mul, star, one, _group_generators(add)[0], names)
+    gens = (base.generators * w[::-1, None]).ravel()
+    return _make_ring(f"M{k}({base.label})", add, mul, star, one, gens, names)
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +546,13 @@ def build_from_tables(spec: TableSpec, cap: int = DEFAULT_ORDER_CAP) -> StarRing
         len(row) != n for row in spec.mul
     ):
         raise RingSpecError("add/mul tables must be square")
-    label = f"table{n}"
-    tables = []
-    for name, rows, shape in (
-        ("add", spec.add, (n, n)), ("mul", spec.mul, (n, n)), ("star", spec.star, (n,))
-    ):
-        try:
-            t = np.array(rows)
-            if t.dtype.kind in "fO":  # refused below, but ints beyond int64
-                np.array(rows, dtype=np.int64)  # raise OverflowError here
-        except OverflowError:
-            # An entry beyond int64 is out of range too. Entries of n stand
-            # for it, so _validated_ring reports the tables in its usual order.
-            t = np.full(np.shape(rows), n)
-        except (TypeError, ValueError):  # entries that are not all numbers
-            t = None
-        if t is None or t.dtype.kind not in "iu" or t.shape != shape:
-            raise RingSpecError(f"{label}: {name} table entries must be integers")
-        tables.append(t)
-    return _validated_ring(label, *tables, one)
+    for key, rows in (("add", spec.add), ("mul", spec.mul), ("star", [spec.star])):
+        # type() is exact, so bools, floats, strings and nested rows are all refused.
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            raise RingSpecError(f"table spec field {key!r} entries must be integers")
+    # An int beyond int64 makes a float or object array, whose min and max
+    # _validated_ring compares exactly: it is out of range too.
+    return _validated_ring(f"table{n}", *map(np.array, (spec.add, spec.mul, spec.star)), one)
 
 
 def _integer(v, message: str) -> int:
@@ -575,13 +567,6 @@ def _int_field(obj: dict, key: str) -> int:
 
 
 SPEC_MAX_DEPTH = 64
-
-
-def _int_entries(row, key: str) -> tuple[int, ...]:
-    # type() is exact, so bools, floats and strings are all refused.
-    if not isinstance(row, list) or not set(map(type, row)) <= {int}:
-        raise RingSpecError(f"table spec field {key!r} entries must be integers")
-    return tuple(row)
 
 
 def spec_from_json(obj, _depth: int = 0) -> RingSpec:
@@ -611,11 +596,13 @@ def spec_from_json(obj, _depth: int = 0) -> RingSpec:
         for key in ("add", "mul", "star"):
             if not isinstance(obj.get(key), list):
                 raise RingSpecError(f"table spec field {key!r} must be a list")
-        add = tuple(_int_entries(row, "add") for row in obj["add"])
-        mul = tuple(_int_entries(row, "mul") for row in obj["mul"])
-        star = _int_entries(obj["star"], "star")
+        # Entry types are checked by build_from_tables, in the same words.
+        for key in ("add", "mul"):
+            if not all(isinstance(row, list) for row in obj[key]):
+                raise RingSpecError(f"table spec field {key!r} entries must be integers")
+        add, mul = (tuple(map(tuple, obj[key])) for key in ("add", "mul"))
         return TableSpec(
-            n, add, mul, star, _int_field(obj, "zero"), _int_field(obj, "one")
+            n, add, mul, tuple(obj["star"]), _int_field(obj, "zero"), _int_field(obj, "one")
         )
     raise RingSpecError(f"unknown ring spec type {kind!r}")
 

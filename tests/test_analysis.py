@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 import starorder as so
 from starorder import analysis, theorems
 from starorder.fuzz import _random_table_candidate
+from corpus import relabelled
 from helpers import (
     is_squarefree,
     mat2_index,
@@ -87,6 +89,22 @@ class TestCenter:
     def test_commutative_center_is_everything(self, z6):
         assert ids(analysis.center_mask(z6)) == set(range(6))
         assert analysis.central_projection_ids(z6).tolist() == [0, 1, 3, 4]
+
+    def test_decided_on_g_as_by_the_full_compare(self, curated_pq, m2z2, t2z2):
+        # Both commutation tests read only the columns and rows of G; hold
+        # them to the n^2 compare of the multiplication table with its
+        # transpose. T2(Z2) relabelled a + 2d + 4b has G = e11, e22, e12, and
+        # only the last shows diag(1, 0) is not central; M2(Z2) x Z2's G
+        # starts with the central (0, 1).
+        t2 = relabelled(t2z2, [a + 2 * d + 4 * b for a, b, d in product(range(2), repeat=3)])
+        assert t2.generators.tolist() == [1, 2, 4]
+        config = so.FuzzConfig(64, ("modular", "matrix", "product"), 0, 1)
+        specs = [*so.structural_specs(config), so.MatrixSpec(so.ModularSpec(7), 2)]
+        extra = [t2, so.build_product([m2z2, so.build_modular(2)])]
+        for r in [*curated_pq, *extra, *map(so.realize, specs)]:
+            full = r.multiplication == r.multiplication.T
+            assert np.array_equal(analysis.center_mask(r), full.all(axis=1)), r.label
+            assert r.is_commutative() == full.all(), r.label
 
 
 class TestAnnihilators:

@@ -77,6 +77,19 @@ class TestProduct:
         assert z2xz3.name_of(0) == "(0,0)"
         assert z2xz3.one == 1 * 3 + 1  # (1, 1)
 
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (so.ModularSpec(2),) * 12,
+            (so.MatrixSpec(so.ModularSpec(2), 2),) + (so.ModularSpec(2),) * 8,
+        ],
+    )
+    def test_parts_generators_are_the_greedy_ones_at_the_cap(self, parts):
+        ring = so.realize(so.ProductSpec(parts))
+        assert ring.order == 4096
+        greedy = rings._generators(ring.addition, [0], ring.order.bit_length())[0]
+        assert ring.generators.tolist() == greedy
+
     def test_empty_product_rejected(self):
         with pytest.raises(so.RingSpecError):
             so.build_product([])
@@ -135,6 +148,8 @@ class TestMatrix:
         assert np.array_equal(ring.multiplication, mul)
         assert np.array_equal(ring.involution, star)
         assert ring.one == one
+        # The base's G placed at the cells' weights is the greedy G of M_k(B).
+        assert ring.generators.tolist() == rings._generators(add, [0], add.shape[0].bit_length())[0]
 
 
 def _einsum_matrix(moduli, k):
@@ -388,6 +403,7 @@ class TestTables:
             (((0, 1), (1, 0)), ((0, 0), (0, 1)), (None, 1)),
             (((0, 1), (1, 0)), ((0, 0), (0, 1.7)), (0, 1)),
             (((0, 1), (1, 0)), ((0, 0), (0, 1)), (0, "1")),
+            (((0, 1), (1, 0)), ((0, 0), (0, True)), (0, 1)),
         ],
     )
     def test_entries_that_are_not_integers_refused(self, add, mul, star):
@@ -432,7 +448,7 @@ def test_numpy_integers_accepted():
 
 class TestElementOps:
     def test_foreign_ids_rejected(self, z6):
-        for bad in (-1, 6, 100):
+        for bad in (-1, 6, 100, 2.9, True, "3", None):
             with pytest.raises(so.ForeignElementError):
                 z6.add(0, bad)
             with pytest.raises(so.ForeignElementError):
