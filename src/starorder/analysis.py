@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import _DT, StarRing, _first, _frozen, _row_blocks
+from .rings import _DT, StarRing, _commutes_with_g, _first, _frozen, _row_blocks
 
 FLAG_NAMES = (
     "semiprime",
@@ -55,12 +55,10 @@ def projection_mask(ring: StarRing) -> np.ndarray:
 
 
 def center_mask(ring: StarRing) -> np.ndarray:
-    """x is central iff it commutes with every g in G: y ↦ xy − yx is
-    additive, so the y that commute with x form a subgroup of (R, +)."""
+    """Boolean mask of the central elements, decided on G."""
 
     def build():
-        M, G = ring.multiplication, ring.generators
-        return _frozen((M[:, G] == M[G].T).all(axis=1))
+        return _frozen(_commutes_with_g(ring))
 
     return ring.memo("center_mask", build)
 

@@ -111,11 +111,15 @@ class StarRing:
         )
 
     def is_commutative(self) -> bool:
-        """Whether every element commutes with every g in G, which is
-        enough: y ↦ xy − yx is additive, so the y that commute with x form
-        a subgroup of (R, +), all of R once it holds G."""
-        M, G = self.multiplication, self.generators
-        return bool((M[:, G] == M[G].T).all())
+        return bool(_commutes_with_g(self).all())
+
+
+def _commutes_with_g(ring: StarRing) -> np.ndarray:
+    """Per x, whether x commutes with every g in G, which is enough for x to
+    be central: y ↦ xy − yx is additive, so the y that commute with x form
+    a subgroup of (R, +), all of R once it holds G."""
+    M, G = ring.multiplication, ring.generators
+    return (M[:, G] == M[G].T).all(axis=1)
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -642,7 +646,11 @@ def realize(
         parts = {}
 
     def part(p: RingSpec) -> StarRing:
-        if p not in parts:
+        try:
+            hit = p in parts
+        except TypeError:  # a table holding lists: build_from_tables judges it
+            return realize(p, cap)
+        if not hit:
             parts[p] = realize(p, cap, parts)
         return parts[p]
 

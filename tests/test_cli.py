@@ -104,6 +104,36 @@ class TestClassify:
             "detail": f"table spec field {field!r} entries must be integers",
         }
 
+    @pytest.mark.parametrize("nest", ["product", "matrix"])
+    @pytest.mark.parametrize("field", ["add", "mul", "star"])
+    def test_list_entry_in_a_nested_table_exits_2(self, capsys, field, nest):
+        # A list entry makes the part spec unhashable; it must still be
+        # refused as a ring spec, not crash the parts memo.
+        table = {
+            "type": "table",
+            "order": 1,
+            "add": [[0]],
+            "mul": [[0]],
+            "star": [0],
+            "zero": 0,
+            "one": 0,
+        }
+        if field == "star":
+            table["star"] = [[0]]
+        else:
+            table[field] = [[[0]]]
+        spec = (
+            {"type": "product", "parts": [table]}
+            if nest == "product"
+            else {"type": "matrix", "base": table, "k": 2}
+        )
+        code, out, err = run(capsys, "classify", json.dumps(spec))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ring-spec",
+            "detail": f"table spec field {field!r} entries must be integers",
+        }
+
     @pytest.mark.parametrize("value", [10**23, -(10**23), 2**32 + 1])
     @pytest.mark.parametrize("field", ["add", "mul", "star"])
     def test_oversized_table_entry_exits_2(self, capsys, field, value):
