@@ -21,7 +21,7 @@ from .errors import (
 from .fuzz import FAMILIES, FuzzConfig, fuzz, structural_specs
 from .order import build_order, hasse_dot, initial_segment
 from .rings import DEFAULT_ORDER_CAP, realize, spec_from_json
-from .theorems import run_suite, run_theorem
+from .theorems import THEOREM_IDS, run_suite, run_theorem
 
 # The variable can only lower the cap: at n = 8192 the tables a ring
 # retains pass the 1 GB budget of one `verify`.
@@ -238,7 +238,9 @@ def _parser() -> argparse.ArgumentParser:
     seg.add_argument("--top", type=int, required=True, metavar="M")
     seg.set_defaults(func=_cmd_segment)
     ver = with_spec(sub.add_parser("verify", help="run the theorem suite"))
-    ver.add_argument("--suite", metavar="THEOREM", help="run one theorem id only")
+    ver.add_argument(
+        "--suite", choices=THEOREM_IDS, metavar="THEOREM", help="run one theorem id only"
+    )
     ver.set_defaults(func=_cmd_verify)
     fz = sub.add_parser("fuzz", help="seeded search over ring families")
     fz.add_argument("--seed", type=int, default=0)

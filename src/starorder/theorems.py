@@ -35,22 +35,6 @@ class TheoremVerdict:
         }
 
 
-def _gate_none(report) -> str | None:
-    return None
-
-
-def _gate_pq(report) -> str | None:
-    return None if report.is_pq_baer_star else SKIP_NOT_PQ
-
-
-def _gate_pq_two(report) -> str | None:
-    if not report.is_pq_baer_star:
-        return SKIP_NOT_PQ
-    if not report.is_two_invertible:
-        return SKIP_TWO
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Individual checks. Each returns a CheckResult over exhaustive scans.
 
@@ -411,7 +395,7 @@ def _check_ortho_decomposition(ring: StarRing) -> CheckResult:
 
 
 def _check_segment_orthomodular(ring: StarRing) -> CheckResult:
-    # One initial_segment per m, not `_proved`: perfbench/spans.py predicts these calls.
+    # One initial_segment per m, not proved: perfbench/spans.py predicts these calls.
     for m in range(ring.order):
         seg = order.initial_segment(ring, m)
         if not (seg.orthocomplemented and seg.orthomodular and seg.locality):
@@ -421,52 +405,55 @@ def _check_segment_orthomodular(ring: StarRing) -> CheckResult:
     return PASS
 
 
-def _proved(check):
-    """PASS where the cover certificate holds, as it proves the theorem
-    (see `order._cover_certificate`); else the exhaustive ``check``."""
-    return lambda ring: PASS if order.build_order(ring).certified else check(ring)
+_PQ = (("is_pq_baer_star", SKIP_NOT_PQ),)
+_PQ_TWO = _PQ + (("is_two_invertible", SKIP_TWO),)
 
+# Theorem id -> (hypotheses, check, proved). A hypothesis is a report flag and
+# the skip reason where it fails, or None where it only sets `hypothesis_met`.
+# A proved theorem passes where the cover certificate holds, as that proves it
+# (see `order._cover_certificate`); elsewhere its exhaustive check runs.
+_REGISTRY: dict = {
+    "annihilator-identity": (_PQ, _check_annihilator_identity, False),
+    "cover-remark-identities": ((), _check_cover_remark, False),
+    "cover-uniqueness": ((), _check_cover_uniqueness, False),
+    "cub-characterization": (_PQ, _check_cub_characterization, True),
+    "cub-star-identities": (_PQ, _check_cub_star_identities, False),
+    "lattice-characterization": (_PQ, _check_lattice_characterization, True),
+    "meet-join": (_PQ, _check_meet_join, True),
+    "order-diagnostics": ((("is_semiprime", None),), _check_order_diagnostics, False),
+    "order-equivalence": (_PQ, _check_order_equivalence, False),
+    "ortho-cancellation": (_PQ, _check_cancellation, True),
+    "ortho-decomposition": (_PQ, _check_ortho_decomposition, False),
+    "ortho-join": (_PQ, _check_ortho_join, False),
+    "orthogonality-axioms": (_PQ, _check_orthogonality_axioms, True),
+    "orthogonality-cover-equivalence": (_PQ, _check_ortho_cover_equivalence, False),
+    "problem-2": (_PQ, _check_problem2, False),
+    "quasi-orthomodular": (_PQ, _check_quasi_orthomodular, True),
+    "segment-orthomodular": (_PQ, _check_segment_orthomodular, False),
+    "subtractivity-biconditional": (_PQ_TWO, _check_subtractivity_biconditional, False),
+    "subtractivity-forward": (_PQ, _check_subtractivity_forward, False),
+}
 
-_REGISTRY: tuple = (
-    ("annihilator-identity", _gate_pq, _check_annihilator_identity),
-    ("cover-remark-identities", _gate_none, _check_cover_remark),
-    ("cover-uniqueness", _gate_none, _check_cover_uniqueness),
-    ("cub-characterization", _gate_pq, _proved(_check_cub_characterization)),
-    ("cub-star-identities", _gate_pq, _check_cub_star_identities),
-    ("lattice-characterization", _gate_pq, _proved(_check_lattice_characterization)),
-    ("meet-join", _gate_pq, _proved(_check_meet_join)),
-    ("order-diagnostics", _gate_none, _check_order_diagnostics),
-    ("order-equivalence", _gate_pq, _check_order_equivalence),
-    ("ortho-cancellation", _gate_pq, _proved(_check_cancellation)),
-    ("ortho-decomposition", _gate_pq, _check_ortho_decomposition),
-    ("ortho-join", _gate_pq, _check_ortho_join),
-    ("orthogonality-axioms", _gate_pq, _proved(_check_orthogonality_axioms)),
-    ("orthogonality-cover-equivalence", _gate_pq, _check_ortho_cover_equivalence),
-    ("problem-2", _gate_pq, _check_problem2),
-    ("quasi-orthomodular", _gate_pq, _proved(_check_quasi_orthomodular)),
-    ("segment-orthomodular", _gate_pq, _check_segment_orthomodular),
-    ("subtractivity-biconditional", _gate_pq_two, _check_subtractivity_biconditional),
-    ("subtractivity-forward", _gate_pq, _check_subtractivity_forward),
-)
-
-THEOREM_IDS: tuple[str, ...] = tuple(entry[0] for entry in _REGISTRY)
+THEOREM_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def run_theorem(ring: StarRing, theorem_id: str) -> TheoremVerdict:
-    """Run a single theorem, gated on its hypotheses."""
-    for tid, gate, runner in _REGISTRY:
-        if tid != theorem_id:
-            continue
-        report = classify(ring)
-        reason = gate(report)
-        if reason is not None:
-            return TheoremVerdict(tid, "skipped", reason, None, None, False)
-        result = runner(ring)
-        met = report.is_semiprime if tid == "order-diagnostics" else True
-        if result.passed:
-            return TheoremVerdict(tid, "pass", None, None, None, met)
-        return TheoremVerdict(tid, "fail", None, result.witness, result.note, met)
-    raise RingSpecError(f"unknown theorem id {theorem_id!r}")
+    """Run a single theorem: skipped at the first failing hypothesis that
+    has a reason; ``hypothesis_met`` says whether every hypothesis holds."""
+    if theorem_id not in _REGISTRY:
+        raise RingSpecError(f"unknown theorem id {theorem_id!r}")
+    hypotheses, check, proved = _REGISTRY[theorem_id]
+    report = classify(ring)
+    met = True
+    for flag, reason in hypotheses:
+        if not getattr(report, flag):
+            if reason is not None:
+                return TheoremVerdict(theorem_id, "skipped", reason, None, None, False)
+            met = False
+    result = PASS if proved and order.build_order(ring).certified else check(ring)
+    if result.passed:
+        return TheoremVerdict(theorem_id, "pass", None, None, None, met)
+    return TheoremVerdict(theorem_id, "fail", None, result.witness, result.note, met)
 
 
 def run_suite(ring: StarRing) -> list[TheoremVerdict]:

@@ -90,18 +90,17 @@ def non_semiprime():
 
 @pytest.fixture
 def run_refused(monkeypatch):
-    """``run_theorem`` with the runner of the theorem asked for replaced by one
-    that fails if it is called, so a skip can only come from the gate."""
+    """``run_theorem`` with the check of the theorem asked for replaced by one
+    that fails if it is called, and not proved, so a skip can only come from
+    its hypotheses."""
     from starorder import theorems
 
     def run(ring, theorem_id):
         def refuse(r):
             raise AssertionError(f"{theorem_id} ran on {r.label}")
 
-        registry = tuple(
-            (tid, gate, refuse if tid == theorem_id else runner)
-            for tid, gate, runner in theorems._REGISTRY
-        )
+        registry = dict(theorems._REGISTRY)
+        registry[theorem_id] = (registry[theorem_id][0], refuse, False)
         monkeypatch.setattr(theorems, "_REGISTRY", registry)
         return so.run_theorem(ring, theorem_id)
 

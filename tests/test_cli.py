@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from starorder import DEFAULT_ORDER_CAP, theorems
+from starorder import DEFAULT_ORDER_CAP, cli, theorems
 from starorder.cli import EXIT_BROKEN_PIPE, main
 from starorder.errors import VerificationError
 
@@ -320,10 +320,15 @@ class TestVerify:
         payload = json.loads(out)
         assert len(payload) == 1 and payload[0]["theorem"] == "meet-join"
 
-    def test_unknown_theorem_exits_2(self, capsys):
+    def test_unknown_theorem_exits_2(self, capsys, monkeypatch):
+        # A usage error, refused before the spec is read: no ring is built.
+        def refuse(*args):
+            raise AssertionError("realize ran")
+
+        monkeypatch.setattr(cli, "realize", refuse)
         code, _, err = run(capsys, "verify", Z6, "--suite", "bogus")
         assert code == 2
-        assert json.loads(err)["error"] == "ring-spec"
+        assert json.loads(err)["error"] == "usage"
 
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "verify", Z6, "--pretty")
@@ -341,10 +346,8 @@ class TestVerify:
         def broken(ring):
             raise exc
 
-        registry = tuple(
-            (tid, gate, broken if tid == "meet-join" else runner)
-            for tid, gate, runner in theorems._REGISTRY
-        )
+        registry = dict(theorems._REGISTRY)
+        registry["meet-join"] = (registry["meet-join"][0], broken, False)
         monkeypatch.setattr(theorems, "_REGISTRY", registry)
         code, out, err = run(capsys, "verify", Z6, "--suite", "meet-join")
         assert code == 3

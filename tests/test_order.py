@@ -519,7 +519,8 @@ def _certificate_corpus(curated_pq, swap_ring, t2z2, non_semiprime):
 
 
 # The theorems `run_theorem` passes on a certified ring without running
-# their checks, as the cover certificate proves them.
+# their checks, as the cover certificate proves them: the rows of the
+# registry marked proved.
 PROVED = {
     "cub-characterization": theorems._check_cub_characterization,
     "lattice-characterization": theorems._check_lattice_characterization,
@@ -531,8 +532,8 @@ PROVED = {
 
 
 def _checks_run(ring, theorem_id):
-    """The verdict of `run_theorem` and the checks of PROVED it called."""
-    codes = {check.__code__: tid for tid, check in PROVED.items()}
+    """The verdict of `run_theorem` and the registry checks it called."""
+    codes = {check.__code__: tid for tid, (_, check, _) in theorems._REGISTRY.items()}
     ran = set()
 
     def profile(frame, event, arg):
@@ -565,8 +566,21 @@ class TestCoverCertificate:
     def test_run_theorem_runs_proved_checks_only_off_the_certificate(self, curated_pq):
         # On a certified ring the verdict is the proof's and no check runs;
         # with the certificate switched off each check runs and passes.
-        # quasi-orthomodular ends in the cancellation check.
+        # quasi-orthomodular ends in the cancellation check. Every other
+        # theorem is a run-time cross-check: on a certified ring it runs its
+        # own check, and only that, wherever it is not skipped.
+        proved = {tid for tid, (_, _, p) in theorems._REGISTRY.items() if p}
+        assert proved == set(PROVED)
+        checked = [tid for tid in theorems.THEOREM_IDS if tid not in PROVED]
+        ran_on = dict.fromkeys(checked, 0)
         for r in curated_pq:
+            s = fresh(r)
+            assert order.build_order(s).certified, r.label
+            for tid in checked:
+                verdict, ran = _checks_run(s, tid)
+                assert verdict.status == "pass" or verdict.skip_reason, (r.label, tid)
+                assert ran == (set() if verdict.skip_reason else {tid}), (r.label, tid)
+                ran_on[tid] += bool(ran)
             for tid in PROVED:
                 verdict, ran = _checks_run(fresh(r), tid)
                 assert verdict.status == "pass" and not ran, (r.label, tid)
@@ -575,6 +589,7 @@ class TestCoverCertificate:
                     verdict, ran = _checks_run(fresh(r), tid)
                 want = {tid, "ortho-cancellation"} if tid == "quasi-orthomodular" else {tid}
                 assert verdict.status == "pass" and ran == want, (r.label, tid)
+        assert all(ran_on.values()), ran_on
 
     def test_certified_order_matches_the_count_path(
         self, curated_pq, swap_ring, t2z2, non_semiprime

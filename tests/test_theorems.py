@@ -50,8 +50,8 @@ class TestSuiteShape:
 
     def test_every_runner_lives_in_theorems(self):
         # One module decides every theorem; the package exports no check.
-        for tid, _, runner in theorems._REGISTRY:
-            assert runner.__module__ == "starorder.theorems", tid
+        for tid, (_, check, _) in theorems._REGISTRY.items():
+            assert check.__module__ == "starorder.theorems", tid
         removed = (
             "cancellation_check",
             "ortho_join_check",
@@ -130,11 +130,15 @@ class TestSuiteVerdicts:
 
             return runner
 
-        gated = {tid for tid, gate, _ in theorems._REGISTRY if gate is not theorems._gate_none}
-        registry = tuple(
-            (tid, gate, refuse(tid) if tid in gated else runner)
-            for tid, gate, runner in theorems._REGISTRY
-        )
+        gated = {
+            tid
+            for tid, (hypotheses, _, _) in theorems._REGISTRY.items()
+            if any(reason is not None for _, reason in hypotheses)
+        }
+        registry = {
+            tid: (row[0], refuse(tid), False) if tid in gated else row
+            for tid, row in theorems._REGISTRY.items()
+        }
         monkeypatch.setattr(theorems, "_REGISTRY", registry)
         assert len(gated) == 16
         for r in [swap_ring, t2z2] + non_semiprime:  # non_semiprime: Z4, Z8, Z9, Z12
